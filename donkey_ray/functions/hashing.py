@@ -27,10 +27,6 @@ def doc_id_from_key(repo: str, path: str, commit: str) -> int:
     return int.from_bytes(h.digest()[:8], "big") & _MASK63
 
 
-def sha256_hex(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def sha256_hex_column(col: pa.Array) -> pa.Array:
     """sha256 hex digest per string value (hashlib loop; C-speed digest)."""
     return pa.array(
@@ -49,19 +45,6 @@ def stable_term_hash(term: str) -> int:
 
 def term_partition(term: str, num_partitions: int) -> int:
     return stable_term_hash(term) % num_partitions
-
-
-def salted_partition(term: str, doc_id: int, num_partitions: int, salt_bits: int) -> int:
-    """Partition for a hot (high-df) term: salt by the TOP bits of doc_id so
-    each salted run covers a contiguous doc_id range (cheap to merge —
-    SURVEY.md B17/B18)."""
-    salt = doc_id >> (63 - salt_bits)
-    return int.from_bytes(
-        hashlib.blake2b(
-            term.encode() + b"#" + salt.to_bytes(8, "big"), digest_size=8
-        ).digest(),
-        "big",
-    ) % num_partitions
 
 
 def salted_parts(term: str, num_partitions: int, salt_bits: int) -> list[int]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .textstats import fp_token_hash64, shingle_hashes
+from .textstats import fp_token_hash64
 from .tokenize import SimpleTokenizer
 
 NUM_PERMS = 128
@@ -86,11 +86,6 @@ def band_keys_matrix(sigs: np.ndarray) -> np.ndarray:
     return _mix64(acc ^ bands[None, :])
 
 
-def band_keys(sig: np.ndarray) -> list[int]:
-    """Per-signature twin of ``band_keys_matrix`` (NUM_BANDS keys)."""
-    return band_keys_matrix(sig[None, :])[0].tolist()
-
-
 def minhash_signature_matrix(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Batched signatures: ``values[offsets[i]:offsets[i+1]]`` is row i's
     shingle-hash set; returns (rows, NUM_PERMS) uint64. Rows with EMPTY
@@ -151,10 +146,6 @@ def simhash64(text: str) -> int:
     return out
 
 
-def hamming64(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
-
-
 def simhash_bands(h: int, n_bands: int = 4) -> list[int]:
     """Band keys (band_idx << width | chunk) for Hamming<=n_bands-1
     candidates. chunk < 2^width, so distinct (band, chunk) always map to
@@ -163,7 +154,3 @@ def simhash_bands(h: int, n_bands: int = 4) -> list[int]:
     width = 64 // n_bands
     mask = (1 << width) - 1
     return [(band << width) | ((h >> (band * width)) & mask) for band in range(n_bands)]
-
-
-def doc_shingle_hashes(text: str, n: int = 3) -> np.ndarray:
-    return shingle_hashes(text, n)

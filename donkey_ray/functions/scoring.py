@@ -33,18 +33,6 @@ def tf_weight(tf, dl, avgdl: float):
     return tf * (K1 + 1.0) / (tf + K1 * (1.0 - B + B * dl / avgdl))
 
 
-def bm25_scores(tf, dl, df, n_docs: float, avgdl: float):
-    """Per-posting BM25 contribution for one term (vectorized)."""
-    return idf(df, n_docs) * tf_weight(tf, dl, avgdl)
-
-
-def bm25_upper_bound(max_tf: float, min_dl: float, df, n_docs: float, avgdl: float) -> float:
-    """Block upper bound: score is increasing in tf, decreasing in dl, so
-    score(tf, dl) <= score(max_tf, min_dl) for every posting in the block.
-    Used by block-max WAND pruning (must never under-estimate)."""
-    return float(idf(df, n_docs) * tf_weight(max_tf, min_dl, avgdl))
-
-
 def merge_scored_runs(
     per_ids: "list[np.ndarray]", per_scores: "list[np.ndarray]"
 ) -> "tuple[np.ndarray, np.ndarray]":

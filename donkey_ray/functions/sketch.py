@@ -114,10 +114,6 @@ def cms_partial(keys: np.ndarray, counts: np.ndarray | None = None) -> np.ndarra
     return sk
 
 
-def cms_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a + b
-
-
 def cms_query(sk: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Point estimates: min over depth of the key's counters."""
     if len(keys) == 0:

@@ -24,7 +24,6 @@ document length dl = len(tokens).
 from __future__ import annotations
 
 import re
-from collections import Counter
 
 import numpy as np
 import pyarrow as pa
@@ -372,7 +371,3 @@ DEFAULT_TOKENIZER = "simple"
 def get_tokenizer(lang: str):
     """Instantiate the tokenizer registered for ``lang`` (default simple)."""
     return _REGISTRY.get(lang, SimpleTokenizer)()
-
-
-def term_frequencies(tokens: list[str]) -> Counter:
-    return Counter(tokens)

@@ -29,7 +29,15 @@ deletes route by key hash over the wire, flush cuts K deltas; the
 single-primary-only routes /stats and /compact answer 405 — reshard a
 sharded deployment offline). The vector side mirrors this with ``vrouter``
 (VectorRouter/VectorServer reads) and ``vprimary`` (VectorServer —
-or a ``serve.ShardedVectorWriter`` facade — writes) — donkey's literal insert/search core over the wire. Any
+or a ``serve.ShardedVectorWriter`` facade — writes) — donkey's literal
+insert/search core over the wire.
+
+Write responses follow the deployment shape. /insert and /vinsert
+answer ``{"buffered": N}`` from a single primary (its buffered row
+count) but ``{"buffered": {"inserted": n, "buffered_per_shard":
+{shard: N}}}`` from a sharded facade. /delete and /vdelete answer the
+primary's own dict; a facade's tombstone count is the whole
+deployment's, plus ``shards_unreachable`` when a shard is down. Any
 subset may be attached: missing read actors answer 503, missing write
 actors 405. The process is stateless — run several (one per node)
 behind any TCP balancer; each wraps its own frontend actor over the

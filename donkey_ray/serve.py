@@ -25,6 +25,17 @@ PRECONDITION (same as pipelines/incremental.py): inserted docs must be
 NEW (repo, path, commit) keys — doc_ids are derived from that key, and
 a duplicate would double-count postings across federated members.
 
+Journal (``state/journal.py``; ``journal.jsonl`` per text primary,
+``vjournal.jsonl`` per vector primary): one JSON line per call, fsynced
+before the call returns. An insert call is ONE record
+``{"_op": "insert", "rows": [...]}`` — a batch replays whole or not at
+all — and a delete call is ``{"_op": "delete", "doc_ids" | "vec_ids":
+[...]}``. Bare per-row lines from older journals still replay. Torn
+tail: a crash can only tear the last line, so recovery drops a last
+line that lacks its newline or fails to parse (the client never saw
+that call acknowledged) and truncates it before the next append; a bad
+line anywhere earlier raises.
+
 Scale shape: one server actor per index replica; the actor itself holds
 only LRU caches (no full dictionary), so replicas are cheap.
 ``ServeRouter`` is the multi-replica front: round-robin + failover over
@@ -34,11 +45,12 @@ near-linearly with replicas — BENCH/bench_s17_serving.json).
 
 from __future__ import annotations
 
-import json
 import os
+import threading
 
 import ray
 
+from .state import journal
 from .state import manifest as mf
 
 
@@ -94,55 +106,88 @@ def _engine_topk(engine, text: str, fetch_k: int, *, kind: str = "topk",
     raise ValueError(f"unknown query kind: {kind!r}")
 
 
-def _gather_pings(primaries: "list") -> "list[dict]":
-    """Parallel ping fan-out with per-shard dead markers — shared by
-    both sharded facades (fire all refs first, then collect, so a
-    K-shard health check costs one round-trip, not K serial ones)."""
-    refs = [p.ping.remote() for p in primaries]
-    out = []
-    for r in refs:
-        try:
-            out.append(ray.get(r))
-        except Exception:
-            out.append({"status": "dead"})
-    return out
-
-
-def _adopt_or_spawn(name: str, expect_dir: str, identity_of, spawn,
-                    *, role: str = "actor"):
-    """Get-or-create a named actor with the create-race + dead-actor
-    retry discipline of ``ServeRouter._ensure_replica``: a name that is
-    registered but dying is waited out, a lost create race adopts the
-    winner, and an adopted actor is identity-checked against
-    ``expect_dir`` so a name collision fails loudly instead of silently
-    serving (or journaling into) the wrong index."""
+def _adopt_or_spawn(name: str, expect_dir: str, spawn, *, role: str):
+    """Get-or-create a named serving actor — the ONE adopt-by-name
+    discipline for replicas, routers, frontends and sharded primaries.
+    A name that is registered but dying is waited out, a lost create
+    race adopts the winner, and an adopted actor must serve
+    ``expect_dir`` (its ``ping()["index_dir"]``; paths compared by
+    realpath, so relative and absolute spellings of one dir agree) — a
+    name collision fails loudly instead of silently serving (or
+    journaling into) the wrong index."""
     import time as _time
 
-    for _ in range(10):
+    for _ in range(10):  # a killed actor's name frees asynchronously
         try:
             cand = ray.get_actor(name)
         except ValueError:
             cand = None
         if cand is not None:
             try:
-                served = identity_of(cand)
+                served = ray.get(cand.ping.remote()).get("index_dir")
             except ray.exceptions.RayActorError:
                 _time.sleep(0.2)  # registered but dead: wait it out
                 continue
-            if served != expect_dir:
+            if served is None or (os.path.realpath(served)
+                                  != os.path.realpath(expect_dir)):
                 raise RuntimeError(
                     f"named {role} {name!r} serves {served!r}, not "
-                    f"{expect_dir!r}; pick another name prefix or shut "
-                    "the old deployment down")
+                    f"{expect_dir!r}; pick another name or shut the old "
+                    "deployment down")
             return cand
         try:
             return spawn(name)
         except ValueError:  # lost a create race: adopt next round
             continue
+    # a failover signal for routers, NOT a terminal error: other
+    # replicas may be healthy, so callers route around this slot
     raise ReplicaUnavailable(f"could not (re)create {role} {name!r}")
 
 
-class IndexServer:
+def _start(cls, name: str, index_dir: str, *, num_cpus: float = 1,
+           detached: bool = False, spread: bool = False, **kwargs):
+    """Get-or-create the named ``cls(index_dir, **kwargs)`` actor via
+    ``_adopt_or_spawn``. ``spread`` puts each actor of a pool on its own
+    node of a real cluster (no-op single-node)."""
+    opts = {"num_cpus": num_cpus}
+    if detached:
+        opts["lifetime"] = "detached"
+    if spread:
+        opts["scheduling_strategy"] = "SPREAD"
+    return _adopt_or_spawn(
+        name, index_dir,
+        lambda nm: ray.remote(cls).options(name=nm, **opts).remote(
+            index_dir, **kwargs),
+        role=cls.__name__)
+
+
+class _Journaled:
+    """The write-ahead discipline both primaries share: every mutation
+    is ONE journal record, fsynced and then applied by the same
+    ``_apply`` that replays it, so pre- and post-restart state cannot
+    diverge. Recovery only reads the journal; a torn tail is cut before
+    this server's first append, so read replicas opened over a live
+    primary's dir never truncate the file it is appending to."""
+
+    _journal_path: str
+    _tail_checked = False
+
+    def _apply(self, rec: dict) -> None:
+        raise NotImplementedError
+
+    def _commit(self, rec: dict) -> None:
+        if not self._tail_checked:
+            journal.replay(self._journal_path, truncate=True)
+            self._tail_checked = True
+        journal.append(self._journal_path, rec)
+        self._apply(rec)
+
+    def _replay(self) -> None:
+        for rec in journal.replay(self._journal_path):
+            self._apply(rec)
+
+
+class IndexServer(_Journaled):
     """Serving state for one index (plus its delta chain). Wrap with
     ``ray.remote`` (see ``start_server``) or use in-process for tests.
 
@@ -181,22 +226,15 @@ class IndexServer:
             self.compact(_next_compact_dir(self.base_dir))
 
     # ---- donkey A3: journal + recover ----
+    def _apply(self, rec: dict) -> None:
+        """A delete also drops earlier buffered inserts of the doc."""
+        if rec["_op"] == "delete":
+            self._apply_delete(rec["doc_ids"])
+        else:
+            self._buffer.extend(rec["rows"])
+
     def _recover(self) -> None:
-        """Replay the journal IN ORDER: inserts refill the buffer,
-        deletes re-apply (dropping any earlier buffered insert of the
-        same doc and re-populating the tombstone set)."""
-        if not os.path.exists(self._journal_path):
-            return
-        with open(self._journal_path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if obj.get("_op") == "delete":
-                    self._apply_delete(obj["doc_ids"])
-                else:
-                    self._buffer.append(obj)
+        self._replay()
         if self._buffer and len(self._dirs) > 1:
             # crash window: a flush's delta completed but the journal
             # rewrite didn't — replayed inserts already in a delta
@@ -224,13 +262,6 @@ class IndexServer:
                     not in existing
                 ]
 
-    def _journal_append(self, rows: list[dict]) -> None:
-        with open(self._journal_path, "a") as f:
-            for r in rows:
-                f.write(json.dumps(r, sort_keys=True) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
-
     @staticmethod
     def _existing_deltas(index_dir: str) -> list[str]:
         out = []
@@ -247,6 +278,7 @@ class IndexServer:
     def ping(self) -> dict:
         return {
             "status": "ok",
+            "index_dir": self.base_dir,
             "n_docs": self.engine.n_docs,
             "n_indexes": len(self._dirs),
             "buffered_inserts": len(self._buffer),
@@ -301,7 +333,9 @@ class IndexServer:
                 for text, k in queries]
 
     # ---- donkey A2: insert (buffered + journaled) ----
-    def insert(self, rows: list[dict]) -> int:
+    def validate_new(self, rows: list[dict]) -> bool:
+        """EVERY insert-time check WITHOUT journaling — ``insert``'s
+        first step and the sharded writer's phase-1 pre-flight."""
         from .functions.hashing import doc_id_from_key
 
         for r in rows:
@@ -321,8 +355,11 @@ class IndexServer:
                     "cannot re-insert a deleted (repo, path, commit) key "
                     "before compact() resolves its tombstone"
                 )
-        self._journal_append(rows)
-        self._buffer.extend(rows)
+        return True
+
+    def insert(self, rows: list[dict]) -> int:
+        self.validate_new(rows)
+        self._commit({"_op": "insert", "rows": rows})
         return len(self._buffer)
 
     # ---- online delete: tombstones, resolved at compact() ----
@@ -353,8 +390,7 @@ class IndexServer:
             else doc_id_from_key(kk["repo"], kk["path"], kk["commit"])
             for kk in keys
         ]
-        self._journal_append([{"_op": "delete", "doc_ids": ids}])
-        self._apply_delete(ids)
+        self._commit({"_op": "delete", "doc_ids": ids})
         self._maybe_auto_compact()
         return {"deleted": len(ids), "n_tombstones": len(self._tombstones)}
 
@@ -365,21 +401,12 @@ class IndexServer:
 
     def _rewrite_journal_tombstones_only(self) -> None:
         """Rewrite the journal to exactly the live tombstone set (the
-        buffer is empty / just flushed). ATOMIC (temp + rename) instead
-        of unlink-then-append: a crash between those two steps would
+        buffer is empty / just flushed). ATOMIC instead of
+        unlink-then-append: a crash between those two steps would
         permanently lose deletes."""
-        if self._tombstones:
-            tmp = self._journal_path + ".tmp"
-            with open(tmp, "w") as f:
-                f.write(json.dumps(
-                    {"_op": "delete",
-                     "doc_ids": sorted(self._tombstones)},
-                    sort_keys=True) + "\n")
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, self._journal_path)
-        elif os.path.exists(self._journal_path):
-            os.unlink(self._journal_path)
+        journal.rewrite(self._journal_path, [
+            {"_op": "delete", "doc_ids": sorted(self._tombstones)}
+        ] if self._tombstones else [])
 
     # ---- donkey A8: sync -> delta index build + federated reopen ----
     def flush(self, *, num_partitions: int = 4) -> dict:
@@ -394,8 +421,7 @@ class IndexServer:
             # readers — reshard's unflushed-insert guard — see the
             # truth, and "flush every primary" actually clears the
             # condition instead of wedging it (review finding)
-            if os.path.exists(self._journal_path):
-                self._rewrite_journal_tombstones_only()
+            self._rewrite_journal_tombstones_only()
             return {"flushed": 0, "n_indexes": len(self._dirs)}
         import pyarrow as pa
         import ray.data
@@ -460,7 +486,8 @@ class IndexServer:
         self._tombstones.clear()
         if self._buffer:
             # unflushed inserts must stay durable under the new journal
-            self._journal_append(list(self._buffer))
+            journal.append(self._journal_path,
+                           {"_op": "insert", "rows": list(self._buffer)})
         self.engine = QueryEngine(self._dirs, mode=self.mode)
         return meta
 
@@ -472,20 +499,10 @@ def start_server(
     mode: str = "auto",
     detached: bool = False,
 ) -> "ray.actor.ActorHandle":
-    """Start (or get) the named serving actor. Ray must already be
-    initialised by the caller (CLI / driver) — never here."""
-    try:
-        return ray.get_actor(name)
-    except ValueError:
-        pass
-    opts = {"name": name, "num_cpus": 1}
-    if detached:
-        opts["lifetime"] = "detached"
-    return (
-        ray.remote(IndexServer)
-        .options(**opts)
-        .remote(index_dir, mode=mode)
-    )
+    """Start (or get) the named serving actor; an adopted one must
+    serve ``index_dir``. Ray must already be initialised by the caller
+    (CLI / driver) — never here."""
+    return _start(IndexServer, name, index_dir, detached=detached, mode=mode)
 
 
 class ServeRouter:
@@ -536,51 +553,14 @@ class ServeRouter:
             .remote(self.index_dir, mode=self.mode)
         )
 
-    def _identity_of(self, handle) -> str:
-        """The index an (adopted) replica actually serves."""
-        return ray.get(handle.stats.remote())["index_dirs"][0]
-
     def _ensure_replica(self, i: int):
-        """Get-or-create the i-th named replica actor (respawn path).
-        An ADOPTED actor (name already taken) is verified to serve THIS
-        router's base index — a name_prefix collision must fail loudly,
-        not silently answer from someone else's index."""
-        import time
-
-        name = f"{self.name_prefix}_{i}"
-        if self._replicas[i] is not None:
-            return self._replicas[i]
-        h = None
-        for _ in range(10):  # a killed actor's name frees asynchronously
-            try:
-                cand = ray.get_actor(name)
-            except ValueError:
-                cand = None
-            if cand is not None:
-                try:
-                    base = self._identity_of(cand)
-                except ray.exceptions.RayActorError:
-                    time.sleep(0.2)  # registered but dead: wait it out
-                    continue
-                if base != self.index_dir:
-                    raise RuntimeError(
-                        f"named actor {name!r} serves {base!r}, not this "
-                        f"router's {self.index_dir!r}; pick another "
-                        "name_prefix or shut the old replicas down")
-                h = cand
-                break
-            try:
-                h = self._spawn_replica(name)
-                break
-            except ValueError:  # lost a create race: adopt next round
-                continue
-        if h is None:
-            # a failover signal, NOT a terminal error: other replicas
-            # may be healthy, so callers route around this slot
-            raise ReplicaUnavailable(
-                f"could not (re)create replica {name!r}")
-        self._replicas[i] = h
-        return h
+        """Get-or-create the i-th named replica actor (respawn path),
+        through the shared identity-checked ``_adopt_or_spawn``."""
+        if self._replicas[i] is None:
+            self._replicas[i] = _adopt_or_spawn(
+                f"{self.name_prefix}_{i}", self.index_dir,
+                self._spawn_replica, role="replica")
+        return self._replicas[i]
 
     def _next_replica(self):
         """(index, handle) of the next resolvable replica in round-robin
@@ -713,27 +693,12 @@ def start_router(
 ) -> "ray.actor.ActorHandle":
     """Start (or get) the named router actor over ``n_replicas`` read
     replicas. Ray must already be initialised by the caller. An ADOPTED
-    pre-existing router (same name) is verified to serve THIS index_dir
-    — mirroring ``_ensure_replica``'s identity guard — so a stale
-    (e.g. detached) router over a different index fails loudly instead
-    of silently answering from the wrong artifact."""
-    try:
-        h = ray.get_actor(name)
-    except ValueError:
-        h = None
-    if h is not None:
-        served = ray.get(h.ping.remote()).get("index_dir")
-        if served != index_dir:
-            raise RuntimeError(
-                f"named router {name!r} serves {served!r}, not "
-                f"{index_dir!r}; pick another name or kill the old one")
-        return h
-    opts = {"name": name, "num_cpus": 0.5}
-    if detached:
-        opts["lifetime"] = "detached"
-    return ray.remote(ServeRouter).options(**opts).remote(
-        index_dir, n_replicas=n_replicas, mode=mode,
-        name_prefix=f"{name}_replica")
+    pre-existing router (same name) must serve THIS index_dir, so a
+    stale (e.g. detached) router over a different index fails loudly
+    instead of silently answering from the wrong artifact."""
+    return _start(ServeRouter, name, index_dir, num_cpus=0.5,
+                  detached=detached, n_replicas=n_replicas, mode=mode,
+                  name_prefix=f"{name}_replica")
 
 
 def start_frontends(
@@ -752,7 +717,7 @@ def start_frontends(
     is a named router actor ``{name}_f{j}``; all M share the replica
     name_prefix ``{name}_replica``, so whichever frontend constructs
     first CREATES the replicas and the rest ADOPT them by name (the
-    create-race and wrong-index guards in ``_ensure_replica`` make this
+    create-race and wrong-index guards in ``_adopt_or_spawn`` make this
     safe), with staggered round-robin offsets so they don't sweep the
     pool in lockstep. Clients hash or round-robin across frontends;
     each frontend fans its queries over ALL replicas and marshals its
@@ -766,31 +731,12 @@ def start_frontends(
     ``router_cls=VectorRouter`` for the vector pool."""
     if n_frontends < 1:
         raise ValueError("n_frontends must be >= 1")
-    out = []
-    for j in range(n_frontends):
-        fname = f"{name}_f{j}"
-        try:
-            h = ray.get_actor(fname)
-        except ValueError:
-            h = None
-        if h is not None:
-            served = ray.get(h.ping.remote()).get("index_dir")
-            if served != index_dir:
-                raise RuntimeError(
-                    f"named frontend {fname!r} serves {served!r}, not "
-                    f"{index_dir!r}; pick another name or kill it")
-        else:
-            opts = {"name": fname, "num_cpus": frontend_cpus}
-            if detached:
-                opts["lifetime"] = "detached"
-            kwargs = {"n_replicas": n_replicas,
-                      "name_prefix": f"{name}_replica", "rr_offset": j}
-            if router_cls is ServeRouter:
-                kwargs["mode"] = mode
-            h = ray.remote(router_cls).options(**opts).remote(
-                index_dir, **kwargs)
-        out.append(h)
-    return out
+    kwargs = {"mode": mode} if router_cls is ServeRouter else {}
+    return [_start(router_cls, f"{name}_f{j}", index_dir,
+                   num_cpus=frontend_cpus, detached=detached,
+                   n_replicas=n_replicas, name_prefix=f"{name}_replica",
+                   rr_offset=j, **kwargs)
+            for j in range(n_frontends)]
 
 
 def stop_frontends(handles: "list", *, kill_replicas: bool = True) -> None:
@@ -810,152 +756,184 @@ def stop_frontends(handles: "list", *, kill_replicas: bool = True) -> None:
             pass
 
 
-class ShardedWriter:
-    """K hash-partitioned primary ``IndexServer``s behind ONE write
-    surface (VERDICT r4 item 3). Every text write previously funnelled
-    through a single designated primary — read throughput scaled with
-    replicas/frontends, insert throughput did not scale past one actor
-    (donkey had the same single-DB limit). Here each shard is a full
-    primary (journal, buffer, tombstones, flush -> delta chain) over
-    its OWN base index dir, and K journal fsyncs + K delta builds run
-    in parallel.
+class _ShardedFacade:
+    """K hash-partitioned primaries behind ONE write surface — the
+    shared base of ``ShardedWriter`` (text) and ``ShardedVectorWriter``
+    (vector). Each shard is a full primary (journal, buffer, tombstones)
+    over its OWN dir, so K journal fsyncs run in parallel. A row routes
+    by ``_key(row) % K``, a deterministic content-independent key, so it
+    lands on the same primary whichever client or frontend accepted it,
+    and inserts and deletes of one key always meet the same journal.
+    Shard count is a deployment constant (change it by resharding).
 
-    Routing is ``doc_id_from_key(repo, path, commit) % K`` — the same
-    deterministic content-independent key hash that names doc_ids
-    everywhere — so a row lands on the same primary no matter which
-    client or frontend accepted it, inserts and deletes of the same key
-    always meet the same journal, and N- vs 4N-node deployments route
-    identically. Shard count is a deployment constant (change it via
-    compact-and-reshard, like a partition count).
+    Primaries are named actors created through ``_adopt_or_spawn``
+    (SPREAD-scheduled, so a real cluster puts each on its own node); any
+    number of facades can be built over one deployment.
 
-    Read side: ``all_dirs()`` flattens every shard's federated members
-    (base + deltas); open a QueryEngine / ServeRouter /
-    ``start_frontends`` over that list. Federated BM25 statistics are
-    GLOBAL across members (pinned by the incremental-federation
-    oracles), so results over a K-shard deployment equal a
-    single-primary deployment holding the same docs — asserted by the
-    sharded-vs-single pytest. The ``search`` convenience here mirrors
-    ``IndexServer.search`` exactly, including tombstone over-fetch.
+    Insert is two-phase: every touched shard runs ``validate_new`` on
+    its sub-batch (no journaling) and only when ALL accept do the
+    journaled inserts fan out, so a rejected batch leaves nothing
+    half-committed for a client's whole-batch retry to double-insert.
+    The facade lock serializes THIS facade's callers (the HTTP
+    frontend's threads) across both phases and against deletes.
+    Writers going through SEPARATE facades are uncoordinated: route a
+    deployment's writes through one facade, or accept that a
+    cross-facade race can half-commit, like any two writers without a
+    transaction layer."""
 
-    Primaries are named actors (get-or-create with the same
-    identity-checked adopt-by-name discipline as the router pool;
-    SPREAD-scheduled so a real cluster puts each on its own node), so
-    any number of writer facades can be constructed against the same
-    deployment from different drivers/frontends."""
+    _server: type  # the primary actor class
+    _count_key: str  # the primary's delete-response tombstone count
+    _ping_sums: "tuple[str, ...]"  # ping fields summed across shards
 
-    def __init__(self, shard_dirs: "list[str]", *,
-                 name_prefix: str = "donkey_primary",
-                 mode: str = "auto") -> None:
+    def __init__(self, shard_dirs: "list[str]", *, name_prefix: str,
+                 **server_kwargs) -> None:
         if not shard_dirs:
             raise ValueError("need at least one shard dir")
-        import threading
-
         self.shard_dirs = list(shard_dirs)
-        self.mode = mode
         self.name_prefix = name_prefix
-        self._primaries: list = []
-        self._engine = None
-        self._engine_dirs: tuple = ()
-        # the engine cache is mutated on membership change; the HTTP
-        # frontend drives this facade from ThreadingHTTPServer threads,
-        # so snapshot + rebuild are serialized (review finding: a
-        # racing rebuild could pair _engine with the wrong _engine_dirs
-        # and serve a stale membership forever)
         self._lock = threading.Lock()
-        for i, d in enumerate(self.shard_dirs):
-            # the shared adopt-or-spawn discipline: create-race losers
-            # adopt the winner, dying names are waited out, and an
-            # adopted primary must serve THIS shard (compact() moves the
-            # base dir, so the identity is the live index_dirs[0])
-            self._primaries.append(_adopt_or_spawn(
-                f"{name_prefix}_{i}", d,
-                lambda h: ray.get(h.stats.remote())["index_dirs"][0],
-                lambda nm, d=d: (
-                    ray.remote(IndexServer)
-                    .options(name=nm, num_cpus=1,
-                             scheduling_strategy="SPREAD")
-                    .remote(d, mode=mode)
-                ),
-                role="primary"))
+        # absolute: a relative dir means THIS process's cwd, not the
+        # actor's
+        self._primaries = [
+            _start(self._server, f"{name_prefix}_{i}", os.path.abspath(d),
+                   spread=True, **server_kwargs)
+            for i, d in enumerate(self.shard_dirs)
+        ]
+
+    def _key(self, item) -> int:
+        raise NotImplementedError
 
     @property
     def n_shards(self) -> int:
         return len(self._primaries)
 
-    def shard_of(self, doc_id: int) -> int:
-        return int(doc_id) % self.n_shards
+    def shard_of(self, key: int) -> int:
+        return int(key) % self.n_shards
 
-    def _key_shard(self, r: dict) -> int:
-        from .functions.hashing import doc_id_from_key
+    def _key_shard(self, item) -> int:
+        return self.shard_of(self._key(item))
 
-        return self.shard_of(doc_id_from_key(r["repo"], r["path"],
-                                             r["commit"]))
+    def _route(self, items: list) -> "list[tuple[int, list]]":
+        """(shard, sub-batch) for every shard the items touch."""
+        groups: list[list] = [[] for _ in range(self.n_shards)]
+        for x in items:
+            try:
+                groups[self._key_shard(x)].append(x)
+            except (KeyError, TypeError) as e:
+                raise ValueError(
+                    f"cannot route {x!r}: missing or bad key {e}") from None
+        return [(i, g) for i, g in enumerate(groups) if g]
+
+    @staticmethod
+    def _pings(primaries: list) -> "list[dict]":
+        """Parallel ping fan-out (one round-trip, not K serial ones);
+        a dead shard answers ``{"status": "dead"}``."""
+        refs = [p.ping.remote() for p in primaries]
+        out = []
+        for r in refs:
+            try:
+                out.append(ray.get(r))
+            except Exception:
+                out.append({"status": "dead"})
+        return out
 
     def insert(self, rows: list[dict], *, wait: bool = True) -> dict:
-        """Route one row batch across the shards; the per-shard
-        sub-batches insert CONCURRENTLY (K parallel journal fsyncs).
-
-        Everything that can REJECT is checked before any shard journals
-        (review finding): per-shard sub-batches commit independently,
-        so a rejection after partial commit would make the client's
-        natural whole-batch retry double-insert the committed rows.
-        Structural checks run driver-side; the tombstone-reinsert check
-        pre-flights the shards' live tombstone sets (one parallel RPC
-        round). A delete racing in through ANOTHER facade between the
-        pre-flight and the journal write remains unordered — exactly as
-        two clients racing insert/delete on a single primary are.
-
-        ``wait=False`` returns the in-flight refs instead of the
-        buffered counts so a streaming client can pipeline batches
-        (per-shard ordering is still the actor task queue); gather the
-        refs (ray.get) before relying on durability."""
-        from .functions.hashing import doc_id_from_key
-
-        ids = []
-        for r in rows:
-            missing = [c for c in IndexServer.CORPUS_COLS if c not in r]
-            if missing:
-                raise ValueError(f"insert row missing columns {missing}")
-            if "_op" in r:
-                raise ValueError("insert rows must not carry the "
-                                 "reserved '_op' key")
-            ids.append(doc_id_from_key(r["repo"], r["path"], r["commit"]))
-        tombs: set[int] = set()
-        for t in ray.get([p.tombstone_ids.remote()
-                          for p in self._primaries]):
-            tombs.update(t)
-        if tombs and not tombs.isdisjoint(ids):
-            raise ValueError(
-                "cannot re-insert a deleted (repo, path, commit) key "
-                "before compact() resolves its tombstone")
-        groups: list[list[dict]] = [[] for _ in range(self.n_shards)]
-        for r, did in zip(rows, ids):
-            groups[self.shard_of(did)].append(r)
-        refs, idx = [], []
-        for i, g in enumerate(groups):
-            if g:
-                refs.append(self._primaries[i].insert.remote(g))
-                idx.append(i)
-        if not wait:
-            return {"inserted": len(rows), "refs": refs}
-        buffered = ray.get(refs)
+        """Two-phase routed insert (see the class docstring); the
+        per-shard sub-batches journal CONCURRENTLY. ``wait=False``
+        returns the in-flight refs instead of the buffered counts so a
+        streaming client can pipeline batches (validation is still
+        synchronous; per-shard order is the actor task queue); gather
+        the refs before relying on durability."""
+        with self._lock:
+            live = self._route(rows)
+            ray.get([self._primaries[i].validate_new.remote(g)
+                     for i, g in live])
+            refs = [self._primaries[i].insert.remote(g) for i, g in live]
+            if not wait:
+                return {"inserted": len(rows), "refs": refs}
+            buffered = ray.get(refs)
         return {"inserted": len(rows),
-                "buffered_per_shard": dict(zip(idx, buffered))}
+                "buffered_per_shard": {i: b for (i, _), b
+                                       in zip(live, buffered)}}
 
-    def delete(self, keys: "list[dict] | list[int]") -> dict:
+    def delete(self, keys: list) -> dict:
+        """Routed delete under the facade lock (an unlocked delete
+        could journal a tombstone between another caller's insert
+        phases). The tombstone count mirrors the single primary's: the
+        CUMULATIVE live count of the whole deployment — the touched
+        shards' counts come from the delete round itself, the untouched
+        ones are pinged. A dead shard's count is unknown, so it is
+        reported as ``shards_unreachable`` instead of summed as zero."""
+        with self._lock:
+            touched = self._route(keys)
+            outs = ray.get([self._primaries[i].delete.remote(g)
+                            for i, g in touched])
+        counts = {i: o[self._count_key] for (i, _), o in zip(touched, outs)}
+        untouched = [i for i in range(self.n_shards) if i not in counts]
+        unreachable = 0
+        for i, p in zip(untouched, self._pings(
+                [self._primaries[i] for i in untouched])):
+            if p["status"] == "dead":
+                unreachable += 1
+            else:
+                counts[i] = p["n_deleted"]
+        out = {"deleted": len(keys), self._count_key: sum(counts.values())}
+        if unreachable:
+            out["shards_unreachable"] = unreachable
+        return out
+
+    def ping(self) -> dict:
+        pings = self._pings(self._primaries)
+        ok = all(p.get("status") == "ok" for p in pings)
+        return {"status": "ok" if ok else "down",
+                "n_shards": self.n_shards,
+                **{f: sum(p.get(f) or 0 for p in pings)
+                   for f in self._ping_sums},
+                "shards": pings}
+
+    def shutdown(self) -> None:
+        for p in self._primaries:
+            try:
+                ray.kill(p)
+            except Exception:
+                pass
+        self._primaries = []
+
+
+class ShardedWriter(_ShardedFacade):
+    """K hash-partitioned primary ``IndexServer``s behind ONE write
+    surface (VERDICT r4 item 3): insert throughput scales past one
+    actor, and K delta builds run in parallel at flush. Routing is
+    ``doc_id_from_key(repo, path, commit) % K`` — the same key hash
+    that names doc_ids everywhere, so N- vs 4N-node deployments route
+    identically.
+
+    Read side: ``all_dirs()`` flattens every shard's federated members
+    (base + deltas); open a QueryEngine / ServeRouter /
+    ``start_frontends`` over that list. Federated BM25 statistics are
+    GLOBAL across members, so a K-shard deployment answers like a
+    single primary holding the same docs (the sharded-vs-single
+    pytest). The ``search`` convenience here mirrors
+    ``IndexServer.search`` exactly, including tombstone over-fetch."""
+
+    _server = IndexServer
+    _count_key = "n_tombstones"
+    _ping_sums = ("n_docs", "buffered_inserts", "n_deleted")
+
+    def __init__(self, shard_dirs: "list[str]", *,
+                 name_prefix: str = "donkey_primary",
+                 mode: str = "auto") -> None:
+        self.mode = mode
+        self._engine = None
+        self._engine_dirs: tuple = ()
+        super().__init__(shard_dirs, name_prefix=name_prefix, mode=mode)
+
+    def _key(self, item) -> int:
         from .functions.hashing import doc_id_from_key
 
-        groups: list[list[int]] = [[] for _ in range(self.n_shards)]
-        for kk in keys:
-            did = (int(kk) if isinstance(kk, int)
-                   else doc_id_from_key(kk["repo"], kk["path"],
-                                        kk["commit"]))
-            groups[self.shard_of(did)].append(did)
-        refs = [self._primaries[i].delete.remote(g)
-                for i, g in enumerate(groups) if g]
-        outs = ray.get(refs)
-        return {"deleted": sum(o["deleted"] for o in outs),
-                "n_tombstones": sum(o["n_tombstones"] for o in outs)}
+        if isinstance(item, int):
+            return item
+        return doc_id_from_key(item["repo"], item["path"], item["commit"])
 
     def flush(self, *, num_partitions: int = 4) -> dict:
         """All shards flush CONCURRENTLY; each cuts its own delta, so
@@ -971,21 +949,11 @@ class ShardedWriter:
         stats = ray.get([p.stats.remote() for p in self._primaries])
         return [d for s in stats for d in s["index_dirs"]]
 
-    def ping(self) -> dict:
-        pings = _gather_pings(self._primaries)
-        ok = all(p.get("status") == "ok" for p in pings)
-        return {"status": "ok" if ok else "down",
-                "n_shards": self.n_shards,
-                "n_docs": sum(p.get("n_docs") or 0 for p in pings),
-                "buffered_inserts": sum(
-                    p.get("buffered_inserts") or 0 for p in pings),
-                "n_deleted": sum(p.get("n_deleted") or 0 for p in pings),
-                "shards": pings}
-
     def _snapshot_engine(self):
         """(engine, live tombstone union) for the CURRENT membership —
         one stats round + one tombstone round, engine rebuilt only when
-        the member list changed. Callers must hold ``self._lock``."""
+        the member list changed. Callers must hold ``self._lock`` (a
+        racing rebuild could pair _engine with the wrong _engine_dirs)."""
         from .stages.score import QueryEngine
 
         dirs = tuple(self.all_dirs())
@@ -1022,7 +990,7 @@ class ShardedWriter:
                     kind: str = "topk", window: int = 4) -> list:
         """Batch reads against ONE membership/tombstone snapshot —
         the per-query federated overhead (K stats + K tombstone RPCs)
-        is paid once per batch, not once per query (review finding)."""
+        is paid once per batch, not once per query."""
         with self._lock:
             engine, tombs = self._snapshot_engine()
             out = []
@@ -1032,39 +1000,22 @@ class ShardedWriter:
                 out.append(self._rank(hits, tombs, k))
         return out
 
-    def shutdown(self) -> None:
-        for p in self._primaries:
-            try:
-                ray.kill(p)
-            except Exception:
-                pass
-        self._primaries = []
-
 
 def _journal_tombstones(shard_dirs: "list[str]") -> set:
     """Union of tombstoned doc_ids recorded in the shard bases'
     journals. A QUIESCED (flushed) deployment's journals contain ONLY
-    delete records — any other row is an unflushed buffered insert that
-    resharding would silently drop, so that raises instead."""
+    delete records — an insert record is an unflushed buffered batch
+    that resharding would silently drop, so that raises instead."""
     tombs: set[int] = set()
     for d in shard_dirs:
-        jp = os.path.join(d, "journal.jsonl")
-        if not os.path.exists(jp):
-            continue
-        with open(jp) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if obj.get("_op") == "delete":
-                    tombs.update(int(i) for i in obj["doc_ids"])
-                else:
-                    raise ValueError(
-                        f"shard {d!r} has unflushed buffered inserts in "
-                        "its journal — flush every primary before "
-                        "resharding (those rows exist only in the "
-                        "journal and would be dropped)")
+        for rec in journal.replay(os.path.join(d, "journal.jsonl")):
+            if rec["_op"] != "delete":
+                raise ValueError(
+                    f"shard {d!r} has unflushed buffered inserts in "
+                    "its journal — flush every primary before "
+                    "resharding (those rows exist only in the "
+                    "journal and would be dropped)")
+            tombs.update(int(i) for i in rec["doc_ids"])
     return tombs
 
 
@@ -1134,7 +1085,7 @@ def reshard(shard_dirs: "list[str]", new_k: int, out_base: str, *,
     return out_dirs
 
 
-class VectorServer:
+class VectorServer(_Journaled):
     """Donkey's literal serving core on the VECTOR side [PK: A2/A3/A5/
     A7/A8 — insert(key, object) -> journal -> index -> search(object)]:
     one named actor owning an IVF index artifact plus an in-memory
@@ -1168,7 +1119,7 @@ class VectorServer:
         # set of ints would cost ~10x that), probed with searchsorted
         self._indexed: "object | None" = None
         self._journal_path = os.path.join(index_dir, "vjournal.jsonl")
-        self._recover()
+        self._replay()
 
     def _segment_paths(self) -> list[str]:
         import glob as _glob
@@ -1202,28 +1153,14 @@ class VectorServer:
         return self._indexed
 
     # ---- WAL ----
-    def _recover(self) -> None:
-        if not os.path.exists(self._journal_path):
-            return
-        with open(self._journal_path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if obj.get("_op") == "delete":
-                    for v in obj["vec_ids"]:
-                        self._tombstones.add(int(v))
-                        self._buffer.pop(int(v), None)
-                else:
-                    self._buffer[int(obj["vec_id"])] = obj["embedding"]
-
-    def _journal_append(self, objs: list[dict]) -> None:
-        with open(self._journal_path, "a") as f:
-            for o in objs:
-                f.write(json.dumps(o, sort_keys=True) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
+    def _apply(self, rec: dict) -> None:
+        if rec["_op"] == "delete":
+            for v in rec["vec_ids"]:
+                self._tombstones.add(int(v))
+                self._buffer.pop(int(v), None)
+        else:
+            for r in rec["rows"]:
+                self._buffer[int(r["vec_id"])] = r["embedding"]
 
     # ---- A7 surface ----
     def ping(self) -> dict:
@@ -1294,17 +1231,11 @@ class VectorServer:
                                      dtype=np.float64).tolist()}
             for r in rows
         ]
-        self._journal_append(clean)
-        for c in clean:
-            self._buffer[c["vec_id"]] = c["embedding"]
+        self._commit({"_op": "insert", "rows": clean})
         return len(self._buffer)
 
     def delete(self, vec_ids: list[int]) -> dict:
-        vec_ids = [int(v) for v in vec_ids]
-        self._journal_append([{"_op": "delete", "vec_ids": vec_ids}])
-        for v in vec_ids:
-            self._tombstones.add(v)
-            self._buffer.pop(v, None)
+        self._commit({"_op": "delete", "vec_ids": [int(v) for v in vec_ids]})
         if (self.auto_compact_tombstones is not None
                 and len(self._tombstones) >= self.auto_compact_tombstones):
             self.compact(_next_compact_dir(self.index_dir))
@@ -1407,16 +1338,10 @@ def start_vector_server(
     name: str = "donkey_vector_server",
     detached: bool = False,
 ) -> "ray.actor.ActorHandle":
-    """Start (or get) the named vector-serving actor. Ray must already
-    be initialised by the caller — never here."""
-    try:
-        return ray.get_actor(name)
-    except ValueError:
-        pass
-    opts = {"name": name, "num_cpus": 1}
-    if detached:
-        opts["lifetime"] = "detached"
-    return ray.remote(VectorServer).options(**opts).remote(index_dir)
+    """Start (or get) the named vector-serving actor; an adopted one
+    must serve ``index_dir``. Ray must already be initialised by the
+    caller — never here."""
+    return _start(VectorServer, name, index_dir, detached=detached)
 
 
 class VectorRouter(ServeRouter):
@@ -1433,9 +1358,6 @@ class VectorRouter(ServeRouter):
             .options(name=name, num_cpus=1, scheduling_strategy="SPREAD")
             .remote(self.index_dir)
         )
-
-    def _identity_of(self, handle) -> str:
-        return ray.get(handle.ping.remote())["index_dir"]
 
     def search_many(self, vectors, k: int = 10, *, nprobe: int | None = None,
                     chunk_size: int = 64) -> list[dict]:
@@ -1474,32 +1396,16 @@ def start_vector_router(
     """Start (or get) the named vector router over ``n_replicas`` read
     replicas. Ray must already be initialised by the caller. Same
     adopted-router identity guard as ``start_router``."""
-    try:
-        h = ray.get_actor(name)
-    except ValueError:
-        h = None
-    if h is not None:
-        served = ray.get(h.ping.remote()).get("index_dir")
-        if served != index_dir:
-            raise RuntimeError(
-                f"named router {name!r} serves {served!r}, not "
-                f"{index_dir!r}; pick another name or kill the old one")
-        return h
-    opts = {"name": name, "num_cpus": 0.5}
-    if detached:
-        opts["lifetime"] = "detached"
-    return ray.remote(VectorRouter).options(**opts).remote(
-        index_dir, n_replicas=n_replicas,
-        name_prefix=f"{name}_replica")
+    return _start(VectorRouter, name, index_dir, num_cpus=0.5,
+                  detached=detached, n_replicas=n_replicas,
+                  name_prefix=f"{name}_replica")
 
 
-class ShardedVectorWriter:
+class ShardedVectorWriter(_ShardedFacade):
     """K hash-partitioned ``VectorServer`` primaries behind one write
-    surface — the vector-side twin of ``ShardedWriter`` (the same
-    single-writer limit applied to vector inserts). Routing is
-    ``vec_id % K``: vec_ids are the caller's keys, so every client and
-    frontend routes a given vector to the same primary, and K journal
-    fsyncs (plus K independent compacts) run in parallel.
+    surface — the vector-side twin of ``ShardedWriter``, routed by
+    ``vec_id % K`` (vec_ids are the caller's keys), with K independent
+    compacts.
 
     Search fans the query batch to every shard and merges per query by
     (-cos_sim, vec_id): cosine needs NO cross-shard statistics (unlike
@@ -1507,119 +1413,21 @@ class ShardedVectorWriter:
     global top-k exactly — at ``nprobe=None`` (= every list probed,
     exact brute force) a K-shard deployment answers IDENTICALLY to a
     single primary holding the same vectors, which the parity pytest
-    pins. Each shard applies its own tombstone over-fetch internally.
+    pins. Each shard applies its own tombstone over-fetch internally."""
 
-    Insert is two-phase for cross-shard atomicity: every shard
-    pre-flights its sub-batch (``validate_new`` — duplicate / indexed /
-    tombstoned / payload checks, no journaling) and only when ALL
-    accept do the journaled inserts fan out, so a rejected batch
-    leaves nothing half-committed for a client retry to double-insert.
-    The facade lock serializes ITS OWN concurrent callers; writers
-    going through separate facades are uncoordinated (see insert).
-
-    Primaries are named actors with the shared adopt-or-spawn
-    discipline (identity = the served index dir; SPREAD-scheduled)."""
+    _server = VectorServer
+    _count_key = "n_deleted"
+    _ping_sums = ("n_indexed", "n_buffered", "n_deleted")
 
     def __init__(self, shard_dirs: "list[str]", *,
                  name_prefix: str = "donkey_vprimary") -> None:
-        if not shard_dirs:
-            raise ValueError("need at least one shard dir")
-        import threading
+        super().__init__(shard_dirs, name_prefix=name_prefix)
 
-        self.shard_dirs = list(shard_dirs)
-        self.name_prefix = name_prefix
-        self._primaries: list = []
-        # one facade's concurrent writers (the HTTP frontend's threads)
-        # are serialized so the two-phase insert really is atomic for
-        # them; SEPARATE facades still race (see insert docstring)
-        self._lock = threading.Lock()
-        for i, d in enumerate(self.shard_dirs):
-            self._primaries.append(_adopt_or_spawn(
-                f"{name_prefix}_{i}", d,
-                lambda h: ray.get(h.ping.remote())["index_dir"],
-                lambda nm, d=d: (
-                    ray.remote(VectorServer)
-                    .options(name=nm, num_cpus=1,
-                             scheduling_strategy="SPREAD")
-                    .remote(d)
-                ),
-                role="vector primary"))
+    def _key(self, item) -> int:
+        return int(item["vec_id"] if isinstance(item, dict) else item)
 
-    @property
-    def n_shards(self) -> int:
-        return len(self._primaries)
-
-    def _route(self, rows: list[dict]) -> "list[list[dict]]":
-        groups: list[list[dict]] = [[] for _ in range(self.n_shards)]
-        for r in rows:
-            if "vec_id" not in r or "embedding" not in r:
-                raise ValueError(
-                    "vector insert rows need vec_id and embedding")
-            groups[int(r["vec_id"]) % self.n_shards].append(r)
-        return groups
-
-    def insert(self, rows: list[dict], *, wait: bool = True) -> dict:
-        """Two-phase atomic within THIS facade: all touched shards
-        validate (no journaling) before any shard journals, and the
-        facade lock serializes its own concurrent callers (the HTTP
-        frontend's threads). Batches that touch ONE shard skip the
-        pre-flight round — the actor's own insert validation is already
-        whole-batch atomic there. Writers going through SEPARATE
-        facades can still interleave between the phases; route all
-        writes for a deployment through one facade (or accept that a
-        cross-facade race can half-commit, like any two uncoordinated
-        writers without a transaction layer)."""
-        with self._lock:
-            groups = self._route(rows)
-            live = [(i, g) for i, g in enumerate(groups) if g]
-            if len(live) > 1 or not wait:
-                # phase 1: validate everywhere BEFORE any shard
-                # journals. Single-shard batches skip this only on the
-                # wait=True path (the actor's own insert validation is
-                # whole-batch atomic there and the caller sees its
-                # error); a wait=False caller needs the SYNCHRONOUS
-                # rejection, or an invalid batch would return
-                # success-shaped refs it may never gather.
-                ray.get([self._primaries[i].validate_new.remote(g)
-                         for i, g in live])
-            refs = [self._primaries[i].insert.remote(g) for i, g in live]
-            if not wait:
-                return {"inserted": len(rows), "refs": refs}
-            buffered = ray.get(refs)
-        return {"inserted": len(rows),
-                "buffered_per_shard": {i: b for (i, _), b
-                                       in zip(live, buffered)}}
-
-    def delete(self, vec_ids: list[int]) -> dict:
-        """Routed deletes under the facade lock (an unlocked delete
-        could journal a tombstone between another caller's insert
-        phases — the half-commit the lock exists to prevent).
-        ``n_deleted`` mirrors VectorServer semantics: the CUMULATIVE
-        live tombstone count of the whole deployment — the touched
-        shards' counts come from the delete round itself, only the
-        untouched shards are pinged. A dead shard's count is unknown,
-        so it is surfaced as ``shards_unreachable`` instead of being
-        silently summed as zero."""
-        with self._lock:
-            groups: list[list[int]] = [[] for _ in range(self.n_shards)]
-            for v in vec_ids:
-                groups[int(v) % self.n_shards].append(int(v))
-            touched = [(i, g) for i, g in enumerate(groups) if g]
-            outs = ray.get([self._primaries[i].delete.remote(g)
-                            for i, g in touched])
-        counts = {i: o["n_deleted"] for (i, _), o in zip(touched, outs)}
-        untouched = [i for i in range(self.n_shards) if i not in counts]
-        unreachable = 0
-        for i, p in zip(untouched, _gather_pings(
-                [self._primaries[i] for i in untouched])):
-            if p.get("status") == "dead":
-                unreachable += 1
-            else:
-                counts[i] = p.get("n_deleted") or 0
-        out = {"n_deleted": sum(counts.values())}
-        if unreachable:
-            out["shards_unreachable"] = unreachable
-        return out
+    def ping(self) -> dict:
+        return {"kind": "vector", **super().ping()}
 
     def search(self, query_vectors, k: int = 10,
                *, nprobe: "int | None" = None) -> list[dict]:
@@ -1656,21 +1464,3 @@ class ShardedVectorWriter:
                 p.compact.remote(f"{out_base}_shard{i}",
                                  num_partitions=num_partitions, **kwargs)
                 for i, p in enumerate(self._primaries)])
-
-    def ping(self) -> dict:
-        pings = _gather_pings(self._primaries)
-        ok = all(p.get("status") == "ok" for p in pings)
-        return {"status": "ok" if ok else "down", "kind": "vector",
-                "n_shards": self.n_shards,
-                "n_indexed": sum(p.get("n_indexed") or 0 for p in pings),
-                "n_buffered": sum(p.get("n_buffered") or 0 for p in pings),
-                "n_deleted": sum(p.get("n_deleted") or 0 for p in pings),
-                "shards": pings}
-
-    def shutdown(self) -> None:
-        for p in self._primaries:
-            try:
-                ray.kill(p)
-            except Exception:
-                pass
-        self._primaries = []

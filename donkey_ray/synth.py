@@ -12,7 +12,6 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 LANGS = ["py", "c", "cpp", "java", "js"]
 _LANG_W = np.array([0.35, 0.15, 0.15, 0.2, 0.15])
@@ -196,8 +195,3 @@ def make_queries(n: int = 200, seed: int = 42) -> pa.Table:
             "k": pa.array([10 if i % 2 == 0 else 100 for i in range(n)], pa.int32()),
         }
     )
-
-
-def write_stable(table: pa.Table, path: str) -> None:
-    """Byte-stable Parquet write (fixed row groups, no data-page stats drift)."""
-    pq.write_table(table, path, row_group_size=4096, compression="zstd")

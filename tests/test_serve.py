@@ -884,3 +884,60 @@ def test_http_vector_endpoints(vector_server):
         http_srv.shutdown()
         ray.get(vrouter.shutdown.remote())
         ray.kill(vrouter)
+
+
+def _cut_inside_last_record(path: str) -> None:
+    """Leave ``path`` as a crash mid-append would: the last record cut
+    halfway through (its earlier records intact)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    start = data.rindex(b"\n", 0, len(data) - 1) + 1
+    with open(path, "wb") as f:
+        f.write(data[:(start + len(data)) // 2])
+
+
+def test_index_server_recovers_torn_journal(served_index, tmp_path):
+    """A primary killed mid-append reopens with the journal's durable
+    prefix; the torn insert batch replays NONE of its rows (its client
+    never saw it acknowledged). Opening only reads (a read replica over
+    a live primary's dir must not cut the file); the reopened server's
+    first append cuts the torn tail and lands on a line boundary."""
+    import os
+    import shutil
+
+    corpus, out = served_index
+    base = str(tmp_path / "index")
+    shutil.copytree(out, base)
+    srv = IndexServer(base)
+    srv.insert(_new_rows(2, start=9300))
+    victim = corpus.to_pylist()[0]
+    srv.delete([{k: victim[k] for k in ("repo", "path", "commit")}])
+    srv.insert(_new_rows(100, start=9400))
+    _cut_inside_last_record(srv._journal_path)
+    torn_size = os.path.getsize(srv._journal_path)
+
+    srv2 = IndexServer(base)
+    assert srv2.ping()["buffered_inserts"] == 2
+    assert srv2.ping()["n_deleted"] == 1
+    assert os.path.getsize(srv._journal_path) == torn_size
+    srv2.insert(_new_rows(1, start=9600))
+    assert IndexServer(base).ping()["buffered_inserts"] == 3
+
+
+def test_vector_server_recovers_torn_journal(vector_server):
+    from donkey_ray.serve import VectorServer
+
+    srv, vecs, _ = vector_server
+    nv = _mk_vecs(12, seed=61)
+    srv.insert([{"vec_id": 4000, "embedding": list(nv[0])}])
+    srv.delete([5])
+    srv.insert([{"vec_id": 4100 + i, "embedding": list(v)}
+                for i, v in enumerate(nv[1:])])
+    _cut_inside_last_record(srv._journal_path)
+
+    srv2 = VectorServer(srv.index_dir)
+    assert srv2.ping()["n_buffered"] == 1
+    assert srv2.ping()["n_deleted"] == 1
+    assert srv2.search(nv[0], k=1)[0]["vec_id"] == 4000
+    srv2.insert([{"vec_id": 4100, "embedding": list(nv[1])}])
+    assert VectorServer(srv.index_dir).ping()["n_buffered"] == 2

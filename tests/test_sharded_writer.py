@@ -635,3 +635,137 @@ def test_http_frontend_over_sharded_vector_writer(ray_session, tmp_path):
     finally:
         srv.shutdown()
         w.shutdown()
+
+
+def _fresh_copies(shard_dirs, tmp_path, tag):
+    """Copies of the shard bases WITHOUT the shared fixture's journals
+    (earlier tests' buffered rows and tombstones are not this test's)."""
+    import shutil
+
+    out = []
+    for i, d in enumerate(shard_dirs):
+        c = str(tmp_path / f"{tag}{i}")
+        shutil.copytree(d, c)
+        jp = os.path.join(c, "journal.jsonl")
+        if os.path.exists(jp):
+            os.unlink(jp)
+        out.append(c)
+    return out
+
+
+def _post(port, path, body):
+    import http.client
+    import json as _json
+
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    conn.request("POST", path, _json.dumps(body),
+                 {"Content-Type": "application/json"})
+    r = conn.getresponse()
+    out = _json.loads(r.read() or b"{}")
+    conn.close()
+    return r.status, out
+
+
+def test_sharded_delete_reports_deployment_total(sharded_env, tmp_path):
+    """The delete response counts the WHOLE deployment's tombstones
+    (like a single primary's), not just the shards the call touched."""
+    corpus, single_dir, shard_dirs = sharded_env
+    work = _fresh_copies(shard_dirs, tmp_path, "dc")
+    keys = [{"repo": r["repo"], "path": r["path"], "commit": r["commit"]}
+            for r in corpus.to_pylist()]
+    by_shard = {}
+    for k in keys:
+        by_shard.setdefault(
+            doc_id_from_key(k["repo"], k["path"], k["commit"]) % N_SHARDS, k)
+    writer = ShardedWriter(work, name_prefix="t_shardw_delcount")
+    try:
+        assert writer.delete([by_shard[0]]) == {
+            "deleted": 1, "n_tombstones": 1}
+        assert writer.delete([by_shard[1]]) == {
+            "deleted": 1, "n_tombstones": 2}
+    finally:
+        writer.shutdown()
+
+
+def test_sharded_writer_adopts_across_path_spellings(sharded_env):
+    """A facade over the ABSOLUTE spellings of the shard dirs adopts the
+    primaries of a facade built over RELATIVE spellings of the same
+    dirs (identity is compared by realpath, not as raw strings)."""
+    corpus, single_dir, shard_dirs = sharded_env
+    w1 = ShardedWriter([os.path.relpath(d) for d in shard_dirs],
+                       name_prefix="t_shardw_paths")
+    try:
+        w2 = ShardedWriter([os.path.abspath(d) for d in shard_dirs],
+                           name_prefix="t_shardw_paths")
+        assert [p._actor_id for p in w2._primaries] == \
+            [p._actor_id for p in w1._primaries]
+        assert w2.ping()["status"] == "ok"
+    finally:
+        w1.shutdown()
+
+
+def test_http_concurrent_insert_delete_never_half_commits(sharded_env,
+                                                          tmp_path):
+    """Concurrent /insert and /delete through the threaded HTTP frontend
+    against a K=2 text facade: each delete races the insert of the batch
+    holding its key. After a flush every acknowledged batch is present
+    in full (minus rows whose delete was acknowledged) and no rejected
+    batch is present at all."""
+    import glob
+    import sys
+    import threading
+
+    import pyarrow.parquet as pq_
+
+    from donkey_ray.httpserve import start_http_frontend
+
+    corpus, single_dir, shard_dirs = sharded_env
+    work = _fresh_copies(shard_dirs, tmp_path, "race")
+    n_batches = 8
+    batches = [_rows(6, start=20000 + 10 * b) for b in range(n_batches)]
+    writer = ShardedWriter(work, name_prefix="t_shardw_race")
+    srv, port = start_http_frontend(primary=writer)
+    inserted: dict = {}
+    deleted: set = set()
+
+    def do_insert(b):
+        inserted[b] = _post(port, "/insert", {"rows": batches[b]})[0]
+
+    def do_delete(b):
+        r = batches[b][b % 6]
+        key = {k: r[k] for k in ("repo", "path", "commit")}
+        if _post(port, "/delete", {"keys": [key]})[0] == 200:
+            deleted.add(doc_id_from_key(r["repo"], r["path"], r["commit"]))
+
+    threads = [threading.Thread(target=f, args=(b,), daemon=True)
+               for b in range(n_batches) for f in (do_delete, do_insert)]
+    assert len(threads) > (os.cpu_count() or 1)
+    old = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert set(inserted.values()) <= {200, 400}
+        assert len(inserted) == n_batches
+        writer.flush()
+        present = set()
+        for d in writer.all_dirs():
+            for f in glob.glob(os.path.join(d, "docs", "*.parquet")):
+                present.update(pq_.read_table(
+                    f, columns=["doc_id"]).column("doc_id").to_pylist())
+        for b, code in inserted.items():
+            ids = {doc_id_from_key(r["repo"], r["path"], r["commit"])
+                   for r in batches[b]}
+            if code == 200:
+                assert ids & present == ids - deleted, b
+            else:
+                assert not ids & present, b
+    finally:
+        srv.shutdown()
+        writer.shutdown()
