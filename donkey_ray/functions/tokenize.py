@@ -68,15 +68,6 @@ class SimpleTokenizer:
         dl = np.bincount(parents, minlength=len(col)).astype(np.int64)
         return flat, parents, dl
 
-    def count_column(self, col: pa.Array) -> pa.Array:
-        """Per-row token COUNT without materializing the token lists —
-        one RE2 scan (count of maximal ``[a-z0-9]+`` runs == count of
-        non-empty split tokens, the dl that ``tokenize_column`` returns).
-        Used by the docs pass for per-lang doc_len, where building the
-        full flat token array just to count it would double the cost."""
-        return pc.count_substring_regex(
-            pc.utf8_lower(col), "[a-z0-9]+").cast(pa.int64())
-
 
 class CodeTokenizer:
     """Identifier-splitting tokenizer for source code."""
@@ -139,52 +130,6 @@ class CodeTokenizer:
         parents = parents[keep.to_numpy(zero_copy_only=False)]
         dl = np.bincount(parents, minlength=len(col)).astype(np.int64)
         return flat, parents, dl
-
-    # Count-only twin of tokenize_column, WITHOUT the boundary-insert
-    # replaces (each allocates a full copy of the column — measured 2x
-    # on build wall when the docs pass paid them). Token count = base
-    # [A-Za-z0-9]+ runs + one per internal split boundary, each counted
-    # by its own allocation-free RE2 count scan on the RAW text:
-    #   b1  [a-z0-9][A-Z]        lower/digit -> Upper   (rule A; also
-    #                            covers token-initial digits -> Upper,
-    #                            which rule D would split first — same
-    #                            single boundary either way)
-    #   b2  [A-Z][A-Z][a-z]      acronym -> Capitalized (rule B)
-    #   b3  [A-Z][0-9]           Upper -> digit         (rule C)
-    #   b4  sep [0-9]+ [a-z]     token-initial digit run -> lower
-    #                            (rule D's remaining case; the Upper
-    #                            case is b1's, so no double count).
-    #                            Counted as mid-string matches PLUS a
-    #                            string-start boolean — Arrow's count
-    #                            kernel re-anchors '^' at every scan
-    #                            resume position, so '^' alternations
-    #                            over-count and are unusable here.
-    # Non-ASCII chars are separators in this path (the column twin
-    # strips them before lower), so raw-byte counting is exact; the
-    # equality is property-tested against tokenize_column's dl.
-    _COUNT_PATTERNS = (
-        "[A-Za-z0-9]+",
-        "[a-z0-9][A-Z]",
-        "[A-Z][A-Z][a-z]",
-        "[A-Z][0-9]",
-        "[^A-Za-z0-9_][0-9]+[a-z]",
-    )
-
-    def count_column(self, col: pa.Array) -> pa.Array:
-        import numpy as np
-
-        total = None
-        for pat in self._COUNT_PATTERNS:
-            c = pc.count_substring_regex(col, pat)
-            c = np.nan_to_num(
-                c.cast(pa.float64()).to_numpy(zero_copy_only=False)
-            ).astype(np.int64)
-            total = c if total is None else total + c
-        starts = pc.match_substring_regex(col, "^[0-9]+[a-z]")
-        total = total + np.asarray(
-            starts.cast(pa.int8()).fill_null(0).to_numpy(
-                zero_copy_only=False), dtype=np.int64)
-        return pa.array(total, pa.int64())
 
 
 # ---------------------------------------------------------------- stemming
@@ -287,9 +232,6 @@ class FoldTokenizer(SimpleTokenizer):
     def tokenize_column(self, col: pa.Array):
         return super().tokenize_column(fold_column(col))
 
-    def count_column(self, col: pa.Array) -> pa.Array:
-        return super().count_column(fold_column(col))
-
 
 class StemTokenizer(SimpleTokenizer):
     """SimpleTokenizer + the pinned s-stemmer on every token. Index and
@@ -341,12 +283,6 @@ class StopTokenizer(SimpleTokenizer):
         parents = parents[keep.to_numpy(zero_copy_only=False)]
         dl = np.bincount(parents, minlength=len(col)).astype(np.int64)
         return flat, parents, dl
-
-    def count_column(self, col: pa.Array) -> pa.Array:
-        """dl counts CONTENT tokens only, so the count-scan shortcut is
-        wrong here; pay the full tokenize (stopword drop included)."""
-        _flat, _parents, dl = self.tokenize_column(col)
-        return pa.array(dl, pa.int64())
 
 
 _REGISTRY: dict[str, type] = {}

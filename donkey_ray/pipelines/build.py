@@ -1,14 +1,16 @@
 """Index build pipeline (SURVEY.md section 3.2.1).
 
-read_parquet -> map_batches(PostingsExtractor actor pool) ->
+read_parquet -> map_batches(extract_postings task pool) ->
 groupby('part').map_groups(SegmentWriter) -> manifest + stats, with:
-  - a docs pass carrying the per-row sha256(content) invariant,
+  - one corpus scan: the extract map also writes each batch's docs rows
+    (the per-row sha256(content) invariant, doc_len for per-lang stats),
   - deterministic-sample hot-term (df) detection + salted routing (B18),
   - per-partition lineage manifest; resume skips validated partitions (B5).
 
 Everything streams: no materialize() of the exploded postings; the only
 all-to-all exchange is the single groupby('part') shuffle whose key is the
-(salted) term-hash partition.
+(salted) term-hash partition. Besides that scan, only the hot-term sample
+reads the corpus.
 
 Donkey analogue [PK]: batch insert + index build + 'sync' checkpoint
 (src/donkey.cpp / src/index-kgraph.cpp — file-level, SURVEY.md section 0).
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import os
+import shutil
 import time
 
 import numpy as np
@@ -29,7 +32,7 @@ import ray.data
 from ..functions.hashing import deterministic_sample_mask
 from ..sources.corpus import read_corpus
 from ..stages.encode import SegmentWriter
-from ..stages.extract import PostingsExtractor, doc_meta, extract_postings
+from ..stages.extract import PostingsExtractor, extract_postings
 from ..state import manifest as mf
 
 DEFAULT_PARTITIONS = 16
@@ -72,8 +75,8 @@ def compute_lang_stats(out_dir: str) -> dict:
     artifact's (lang, doc_len) columns — a 2-column scan with in-batch
     partial aggregation, then one keyed exchange over n_langs keys
     (lang cardinality is tiny, so the exchange is a few rows). Returns
-    {} when the docs artifact predates the doc_len column (old-format
-    resume) — detected by a SCHEMA probe, not a blanket except: a
+    {} when the docs artifact predates the doc_len column (e.g. docs
+    merged from old indexes) — detected by a SCHEMA probe, not a blanket except: a
     transient cluster failure during the stats scan must propagate, or
     a successful build would permanently bake lang_stats={} into its
     meta with no way to tell that apart from a pre-v3 artifact."""
@@ -190,70 +193,6 @@ def detect_hot_terms(
     return hot, n_sample_docs, n_sample_tokens
 
 
-def _docs_pass_fragments(corpus_path: str, out_dir: str,
-                         id_col: str | None,
-                         analyzer: str | None = None) -> None:
-    """Fragment-parallel, fragment-RESUMABLE docs pass: the work list is
-    the corpus's parquet fragments; each task reads one fragment, derives
-    DOCS rows, and atomically writes ``docs/frag-<sha16>.parquet``. On
-    re-run, fragments whose output exists are skipped before any task is
-    launched. Runs as a Dataset over the fragment list (streaming,
-    retry-safe: names are deterministic, writes atomic)."""
-    import hashlib
-    import tempfile
-
-    import pyarrow.parquet as pq
-
-    frag_paths = sorted(pads.dataset(corpus_path).files)
-    docs_dir = _docs_dir(out_dir)
-    os.makedirs(docs_dir, exist_ok=True)
-
-    def out_name(frag: str) -> str:
-        return os.path.join(
-            docs_dir, f"frag-{hashlib.sha256(frag.encode()).hexdigest()[:16]}.parquet"
-        )
-
-    todo = [p for p in frag_paths if not os.path.exists(out_name(p))]
-    if not todo:
-        return
-
-    def process(batch: pa.Table) -> pa.Table:
-        done = []
-        for frag in batch.column("path").to_pylist():
-            if os.path.exists(out_name(frag)):
-                done.append(frag)  # a retried task re-sees finished work
-                continue
-            tbl = pq.read_table(frag)
-            docs = doc_meta(tbl, id_col=id_col, analyzer=analyzer)
-            target = out_name(frag)
-            fd, tmp = tempfile.mkstemp(dir=docs_dir, prefix=".tmp-docs-")
-            os.close(fd)
-            try:
-                pq.write_table(docs, tmp, compression="zstd")
-                os.replace(tmp, target)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-            done.append(frag)
-        return pa.table({"path": pa.array(done, pa.string())})
-
-    # MANY blocks, not one: from_arrow(one_table) is a single block and
-    # map tasks are per-block, so the whole docs pass used to run
-    # inside ONE task (measured: serial 5-6 s at bench scale; the
-    # round-4 doc_len column made that serial path the build's
-    # critical path). One block per fragment up to 8x cluster CPUs;
-    # past that, blocks hold several fragments each (still parallel,
-    # bounded task count at 10^6-fragment corpora — a retried task
-    # skips its already-written fragments via the marker files).
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    (
-        ray.data.from_items([{"path": p} for p in todo],
-                            override_num_blocks=min(len(todo), 8 * cpus))
-        .map_batches(process, batch_format="pyarrow", batch_size=1)
-        .materialize()
-    )
-
-
 def build_index(
     corpus: str | ray.data.Dataset,
     out_dir: str,
@@ -265,11 +204,8 @@ def build_index(
     hot_df_ratio: float = 0.25,
     detect_hot: bool = True,
     batch_size: int = 512,
-    concurrency=None,
-    verify_resume_checksum: bool = True,
     query_lang: str | None = None,
     override_num_blocks: int | None = None,
-    combine: bool = False,
     positions: bool = False,
     analyzer_lang: str | None = None,
 ) -> dict:
@@ -281,10 +217,16 @@ def build_index(
     to outgrow. The choice is persisted with the hot set, so resumes
     (on any cluster size) keep the original layout.
 
+    Resume: an incomplete build (no ``_SUCCESS``) clears ``docs/`` and
+    re-runs the one extract pass, which rewrites every docs file while
+    ``drop_done`` discards the postings of partitions already written.
+
     Block sizing: per-task and per-shuffle-object overheads grow with block
     COUNT, so blocks are kept at ~2x cluster CPUs (larger data -> bigger
     blocks, not more of them) unless overridden."""
     t_start = time.monotonic()
+    if mf.is_complete(out_dir):
+        return mf.load_meta(out_dir)
     if isinstance(corpus, str):
         if override_num_blocks is None:
             cpus = int(ray.cluster_resources().get("CPU", 4))
@@ -295,43 +237,13 @@ def build_index(
     else:
         ds = corpus
 
-    if mf.is_complete(out_dir):
-        return mf.load_meta(out_dir)
-
     os.makedirs(out_dir, exist_ok=True)
-
-    # ---- docs pass (sha256 invariant) + hot-term detection, CONCURRENT:
-    # two independent dataset executions share the cluster; the docs pass
-    # alone does not saturate it, so overlapping hides the sample pass ----
-    docs_done = os.path.join(out_dir, "_DOCS_SUCCESS")
+    # docs files are named by their batch's doc ids, and a resume may
+    # batch the corpus differently: start the docs artifact clean
+    docs_dir = _docs_dir(out_dir)
+    shutil.rmtree(docs_dir, ignore_errors=True)
+    os.makedirs(docs_dir)
     hot_file = os.path.join(out_dir, "hot_terms.json")
-
-    def _run_docs_pass() -> None:
-        if os.path.exists(docs_done):
-            return
-        if isinstance(corpus, str):
-            # fragment-resumable path: one deterministic output file per
-            # input fragment, finished fragments skipped on re-run — a
-            # crashed 100 TB docs pass loses only in-flight fragments,
-            # and NO shuffle is added (each fragment maps independently)
-            _docs_pass_fragments(corpus, out_dir, id_col,
-                                 analyzer=analyzer_lang)
-        else:
-            # in-memory corpus (tests / deltas): all-or-nothing is fine —
-            # a crashed pass leaves partial files without the marker;
-            # start clean so rerun can't duplicate rows
-            if os.path.exists(_docs_dir(out_dir)):
-                import shutil
-
-                shutil.rmtree(_docs_dir(out_dir))
-            docs = ds.map_batches(
-                functools.partial(doc_meta, id_col=id_col,
-                                  analyzer=analyzer_lang),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-            docs.write_parquet(_docs_dir(out_dir))
-        mf.atomic_write_bytes(docs_done, b"")
 
     def _hot_sample_source():
         """Dataset + row-mod for the hot-term sample pass. For a path
@@ -388,77 +300,52 @@ def build_index(
         )
         return hot_terms, est_tokens
 
-    # The docs pass (sha256 invariant + docs parquet) is independent of
-    # the whole postings pipeline — only the tiny hot-term sample gates
-    # postings extraction. Overlap the docs pass with BOTH (two Ray Data
-    # executions share the cluster with backpressure), which hides its
-    # full wall time: with the vectorized tokenizer the docs pass was
-    # ~30% of build wall when run serially.
-    from concurrent.futures import ThreadPoolExecutor
+    hot_terms, est_tokens = _run_hot_pass()
+    if num_partitions is None:
+        num_partitions = auto_partition_count(est_tokens)
 
-    pool = ThreadPoolExecutor(max_workers=1)
-    docs_future = pool.submit(_run_docs_pass)
-    try:
-        hot_terms, est_tokens = _run_hot_pass()
-        if num_partitions is None:
-            num_partitions = auto_partition_count(est_tokens)
+    # ---- the one corpus scan: postings + docs rows, partition shuffle,
+    # segment encode ----
+    done = mf.validated_done_parts(out_dir, num_partitions)
+    skipped = sorted(done)
+    # task pool (not actors): extract_postings caches the configured
+    # extractor per worker process, giving actor-like state amortization
+    # without actor-pool startup latency
+    postings = ds.map_batches(
+        functools.partial(
+            extract_postings,
+            num_partitions=num_partitions,
+            hot_ref=ray.put(hot_terms) if hot_terms else None,
+            salt_bits=salt_bits,
+            id_col=id_col,
+            positions=positions,
+            lang_override=analyzer_lang,
+            docs_dir=docs_dir,
+        ),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=batch_size,
+    )
+    if done:
+        done_arr = np.array(sorted(done), dtype=np.int32)
 
-        # ---- postings pass + partition shuffle + segment encode ----
-        done = mf.validated_done_parts(
-            out_dir, num_partitions, verify_checksum=verify_resume_checksum
+        def drop_done(batch: pa.Table) -> pa.Table:
+            keep = ~np.isin(
+                batch.column("part").to_numpy(zero_copy_only=False), done_arr
+            )
+            return batch.filter(pa.array(keep))
+
+        postings = postings.map_batches(
+            drop_done, batch_format="pyarrow", zero_copy_batch=True
         )
-        skipped = sorted(done)
-        if len(done) < num_partitions:
-            hot_ref = ray.put(hot_terms) if hot_terms else None
-            # task pool (not actors): extract_postings caches the
-            # configured extractor per worker process, giving actor-like
-            # state amortization without actor-pool startup latency
-            extract_kwargs = dict(
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-                batch_size=batch_size,
-            )
-            if concurrency is not None:
-                extract_kwargs["concurrency"] = concurrency
-            postings = ds.map_batches(
-                functools.partial(
-                    extract_postings,
-                    num_partitions=num_partitions,
-                    hot_ref=hot_ref,
-                    salt_bits=salt_bits,
-                    id_col=id_col,
-                    combine=combine,
-                    positions=positions,
-                    lang_override=analyzer_lang,
-                ),
-                **extract_kwargs,
-            )
-            if done:
-                done_arr = np.array(sorted(done), dtype=np.int32)
-
-                def drop_done(batch: pa.Table) -> pa.Table:
-                    keep = ~np.isin(
-                        batch.column("part").to_numpy(zero_copy_only=False),
-                        done_arr,
-                    )
-                    return batch.filter(pa.array(keep))
-
-                postings = postings.map_batches(
-                    drop_done, batch_format="pyarrow", zero_copy_batch=True
-                )
-            manifest_rows = postings.groupby("part").map_groups(
-                SegmentWriter(out_dir), batch_format="pyarrow"
-            )
-            new_entries = {int(r["part"]): r for r in manifest_rows.take_all()}
-        else:
-            new_entries = {}
-        docs_future.result()
-    finally:
-        pool.shutdown(wait=True)
+    manifest_rows = postings.groupby("part").map_groups(
+        SegmentWriter(out_dir), batch_format="pyarrow"
+    )
+    new_entries = {int(r["part"]): r for r in manifest_rows.take_all()}
     n_docs = _count_docs(out_dir)
 
     # ---- stats + meta ----
-    all_entries = {**{p: e for p, e in done.items()}, **new_entries}
+    all_entries = {**done, **new_entries}
     total_len = int(sum(e["sum_tf"] for e in all_entries.values()))
     n_postings = int(sum(e["n_postings"] for e in all_entries.values()))
     from .. import schemas

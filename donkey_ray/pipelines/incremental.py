@@ -51,9 +51,9 @@ def segments_as_postings(index_dir: str) -> ray.data.Dataset:
 
     def decode(batch: pa.Table) -> pa.Table:
         """Vectorized batch decode: ONE varbyte pass per stream for every
-        run in the batch; doc-id deltas re-based at each block start
-        (mirrors stages.encode.decode_combined_runs, plus the in-run
-        block resets the segment format adds)."""
+        run in the batch; doc-id deltas re-based at each block start,
+        where the segment encoder resets the delta stream
+        (stages.encode.encode_partition_arrays)."""
         import numpy as np
 
         cols = {"term": pa.array([], pa.string()),

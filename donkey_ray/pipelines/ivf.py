@@ -31,7 +31,6 @@ row-group-pruned; nothing ever materializes the full vector set.
 from __future__ import annotations
 
 import os
-import tempfile
 import time
 
 import numpy as np
@@ -120,16 +119,13 @@ def build_ivf_index(
         cent = _spherical_kmeans(
             _batch_matrix(sample_tbl, vec_col), n_lists, iters=kmeans_iters
         )
-        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-cent-")
-        os.close(fd)
-        pq.write_table(
+        mf.atomic_write_parquet(
+            cent_path,
             pa.table(
                 {"list_id": pa.array(range(len(cent)), pa.int32()),
                  "centroid": pa.array(cent.tolist(), pa.list_(pa.float64()))}
             ),
-            tmp,
         )
-        os.replace(tmp, cent_path)
     cent_tbl = pq.read_table(cent_path)
     centroids = _batch_matrix(cent_tbl, "centroid")
     k = len(centroids)

@@ -104,8 +104,7 @@ class _GraphPartWriter(mf.PartitionSegmentWriter):
         super().__init__(
             out, part_col="__part",
             sort_keys=[("src", "ascending"), ("dst", "ascending")],
-            count_field="n_edges", row_group_size=4096,
-            tmp_prefix="knng", name="knng_write")
+            count_field="n_edges", row_group_size=4096, name="knng_write")
 
 
 def _build_local_exact(

@@ -12,12 +12,10 @@ and build resumes are exactly-once at the partition level.
 from __future__ import annotations
 
 import os
-import tempfile
 import time
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from .. import schemas
 from ..functions.codec import delta_encode_segments, varbyte_encode_all
@@ -42,31 +40,6 @@ def _empty_segment(positions: bool = False) -> tuple[pa.Table, dict]:
         cols["poss"] = pa.array([], pa.binary())
         cols["block_pos_boff"] = pa.array([], pa.list_(pa.int64()))
     return pa.table(cols), {"n_terms": 0, "n_postings": 0, "sum_tf": 0}
-
-
-def decode_combined_runs(group: pa.Table):
-    """Combined-run rows (term, n, docs, tfs, dls) -> per-posting arrays
-    (terms repeated per posting via codes, doc_ids, tfs, dls). One
-    vectorized codec pass per stream for ALL runs (delta resets at run
-    starts)."""
-    from ..functions.codec import varbyte_decode
-
-    run_terms = group.column("term").to_numpy(zero_copy_only=False)
-    run_n = group.column("n").to_numpy(zero_copy_only=False).astype(np.int64)
-    starts = np.zeros(len(run_n) + 1, dtype=np.int64)
-    np.cumsum(run_n, out=starts[1:])
-    run_starts = starts[:-1]
-
-    deltas = varbyte_decode(b"".join(group.column("docs").to_pylist()))
-    c = np.cumsum(deltas, dtype=np.uint64)
-    prefix = c[run_starts] - deltas[run_starts]
-    doc_ids = (c - np.repeat(prefix, run_n)).astype(np.int64)
-    tfs = varbyte_decode(b"".join(group.column("tfs").to_pylist())).astype(np.int64)
-    dls = varbyte_decode(b"".join(group.column("dls").to_pylist())).astype(np.int64)
-
-    uniq, run_codes = np.unique(run_terms, return_inverse=True)
-    codes = np.repeat(run_codes, run_n)
-    return uniq, codes, doc_ids, tfs, dls
 
 
 def encode_partition_arrays(
@@ -181,10 +154,8 @@ def encode_partition_arrays(
 
 
 def encode_partition_table(group: pa.Table, block_size: int = schemas.BLOCK_SIZE) -> tuple[pa.Table, dict]:
-    """Raw posting rows (term, doc_id, tf, dl[, part]) -> segment.
-
-    Kept for the uncombined path (merge_indexes, tests); delegates to the
-    array core."""
+    """Raw posting rows (term, doc_id, tf, dl[, pos][, part]) -> segment
+    (build, merge_indexes); delegates to the array core."""
     has_pos = "pos" in group.column_names
     if group.num_rows == 0:
         return _empty_segment(positions=has_pos)
@@ -201,17 +172,6 @@ def encode_partition_table(group: pa.Table, block_size: int = schemas.BLOCK_SIZE
             group.column("pos").to_numpy(zero_copy_only=False) if has_pos else None
         ),
     )
-
-
-def encode_partition_any(group: pa.Table, block_size: int = schemas.BLOCK_SIZE) -> tuple[pa.Table, dict]:
-    """Dispatch on wire format: combined runs (map-side combiner) or raw
-    posting rows."""
-    if "docs" in group.column_names:
-        if group.num_rows == 0:
-            return _empty_segment()
-        uniq, codes, doc_ids, tfs, dls = decode_combined_runs(group)
-        return encode_partition_arrays(uniq, codes, doc_ids, tfs, dls, block_size)
-    return encode_partition_table(group, block_size)
 
 
 class SegmentWriter:
@@ -240,22 +200,13 @@ class SegmentWriter:
             })
         t0 = time.monotonic()
         part = int(group.column("part")[0].as_py())
-        seg, stats = encode_partition_any(group, self.block_size)
+        seg, stats = encode_partition_table(group, self.block_size)
         seg_path = mf.segment_path(self.out_dir, part)
-        os.makedirs(os.path.dirname(seg_path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(seg_path), prefix=f".tmp-part-{part:05d}-"
-        )
-        os.close(fd)
-        try:
-            # 1024 terms/row-group: the serving shard (_SegmentShard) prunes
-            # term lookups to one row group via min/max stats, so smaller
-            # groups = finer dictionary pruning + cheaper on-hit fetch
-            pq.write_table(seg, tmp, row_group_size=1024, compression="zstd")
-            os.replace(tmp, seg_path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        # 1024 terms/row-group: the serving shard (_SegmentShard) prunes
+        # term lookups to one row group via min/max stats, so smaller
+        # groups = finer dictionary pruning + cheaper on-hit fetch
+        mf.atomic_write_parquet(seg_path, seg, row_group_size=1024,
+                                compression="zstd")
         entry = {
             "part": part,
             "n_terms": stats["n_terms"],

@@ -10,6 +10,7 @@ work is vectorized Arrow/numpy.
 from __future__ import annotations
 
 import hashlib
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -17,6 +18,7 @@ import pyarrow.compute as pc
 
 from ..functions.hashing import stable_term_hash
 from ..functions.tokenize import get_tokenizer
+from ..state import manifest as mf
 
 
 def _doc_ids_for_batch(batch: pa.Table, id_col: str | None) -> np.ndarray:
@@ -38,46 +40,29 @@ def _doc_ids_for_batch(batch: pa.Table, id_col: str | None) -> np.ndarray:
     return out
 
 
-def _doc_len_column(batch: pa.Table, analyzer: str | None) -> pa.Array:
-    """Tokenized doc length per row, mirroring the extractor's analyzer
-    routing: ``analyzer`` (= build's analyzer_lang/query_lang override)
-    pins one tokenizer; None routes each row through the per-lang
-    registry exactly like PostingsExtractor. Uses the tokenizers'
-    count-scan path (no token-list materialization), so the docs pass
-    stays cheap."""
-    content = batch.column("content").combine_chunks()
-    if analyzer is not None:
-        return get_tokenizer(analyzer).count_column(content)
-    lang_arr = batch.column("lang").combine_chunks()
-    out = np.zeros(batch.num_rows, dtype=np.int64)
-    for lg in pc.unique(lang_arr).to_pylist():
-        mask = (pc.is_null(lang_arr) if lg is None
-                else pc.equal(lang_arr, lg)).to_numpy(zero_copy_only=False)
-        idx = np.flatnonzero(mask)
-        cnt = get_tokenizer(lg or "simple").count_column(content.take(idx))
-        out[idx] = np.asarray(cnt.to_numpy(zero_copy_only=False),
-                              dtype=np.int64)
-    return pa.array(out, pa.int64())
-
-
 def doc_meta(batch: pa.Table, *, id_col: str | None = None,
-             analyzer: str | None = None,
-             with_doc_len: bool = True) -> pa.Table:
+             doc_ids: np.ndarray | None = None,
+             doc_len: np.ndarray | None = None) -> pa.Table:
     """Corpus batch -> DOCS-schema batch (sha256 carried, content dropped).
 
     Embarrassingly parallel; preserves the per-row sha256(content)
     invariant (BASELINE.json input_hint). ``doc_len`` is the tokenized
-    length under the build's analyzer (SURVEY §1.2 per-lang stats feed);
-    ``analyzer`` mirrors build_index's analyzer_lang/query_lang
-    precedence, None = per-row registry routing."""
-    doc_ids = _doc_ids_for_batch(batch, id_col)
+    length under the build's analyzer (SURVEY §1.2 per-lang stats feed).
+    The build passes the extractor's ``doc_ids`` and ``doc_len``; when
+    they are absent they are derived here, tokenizing each row with its
+    lang's registered tokenizer."""
+    if doc_ids is None:
+        doc_ids = _doc_ids_for_batch(batch, id_col)
+    if doc_len is None:
+        doc_len = PostingsExtractor(
+            1, id_col=id_col, emit_part=False).tokenize(batch)[3]
     content = batch.column("content")
     sha = pa.array(
         [hashlib.sha256(v.encode()).hexdigest() if v is not None else None
          for v in content.to_pylist()],
         pa.string(),
     )
-    cols = {
+    return pa.table({
         "doc_id": pa.array(doc_ids, pa.int64()),
         "repo": batch.column("repo"),
         "path": batch.column("path"),
@@ -85,10 +70,8 @@ def doc_meta(batch: pa.Table, *, id_col: str | None = None,
         "lang": batch.column("lang"),
         "content_sha256": sha,
         "n_chars": pc.utf8_length(content).cast(pa.int64()),
-    }
-    if with_doc_len:
-        cols["doc_len"] = _doc_len_column(batch, analyzer)
-    return pa.table(cols)
+        "doc_len": pa.array(doc_len, pa.int64()),
+    })
 
 
 # per-worker-process extractor cache: tasks get actor-like amortization of
@@ -100,14 +83,21 @@ _EXTRACTOR_CACHE: dict = {}
 
 def extract_postings(batch: pa.Table, *, num_partitions: int, hot_ref=None,
                      salt_bits: int = 4, id_col: str | None = None,
-                     combine: bool = False, positions: bool = False,
-                     lang_override: str | None = None) -> pa.Table:
+                     positions: bool = False,
+                     lang_override: str | None = None,
+                     docs_dir: str | None = None) -> pa.Table:
+    """Corpus batch -> postings (``PostingsExtractor``). With ``docs_dir``
+    the same pass also writes the batch's DOCS rows, carrying the
+    extractor's doc ids and lengths, to
+    ``docs_dir/<sha16 of the batch's doc ids>.parquet``. Doc ids are
+    unique per corpus, so a name repeats only when a retried task
+    rewrites the same batch, and the write is atomic: the rewrite is
+    idempotent."""
     key = (
         num_partitions,
         hot_ref.hex() if hot_ref is not None else None,
         salt_bits,
         id_col,
-        combine,
         positions,
         lang_override,
     )
@@ -118,21 +108,31 @@ def extract_postings(batch: pa.Table, *, num_partitions: int, hot_ref=None,
         hot = ray.get(hot_ref) if hot_ref is not None else None
         ex = PostingsExtractor(
             num_partitions, hot_terms=hot, salt_bits=salt_bits, id_col=id_col,
-            combine=combine, positions=positions, lang_override=lang_override,
+            positions=positions, lang_override=lang_override,
         )
         _EXTRACTOR_CACHE.clear()  # one live config per worker is enough
         _EXTRACTOR_CACHE[key] = ex
-    return ex(batch)
+    postings, doc_ids, dl = ex.extract(batch)
+    if docs_dir is not None and batch.num_rows:
+        name = hashlib.sha256(doc_ids.tobytes()).hexdigest()[:16]
+        mf.atomic_write_parquet(
+            os.path.join(docs_dir, f"{name}.parquet"),
+            doc_meta(batch, doc_ids=doc_ids, doc_len=dl),
+            compression="zstd",
+        )
+    return postings
 
 
 class PostingsExtractor:
-    """Actor-pool stage: corpus batches -> exploded (term, doc_id, tf, dl,
-    part) postings batches (SURVEY.md B12/B15/B18).
+    """Map stage: corpus batches -> exploded (term, doc_id, tf, dl[, pos],
+    part) postings batches (SURVEY.md B12/B15/B18). The build runs it
+    through ``extract_postings`` in a task pool, one cached instance per
+    worker process.
 
     Partition routing: part = blake2b(term) % P, except hot (high-df) terms
     which are salted by the TOP ``salt_bits`` bits of doc_id so each salted
     run covers a contiguous doc_id range (merge = range concat, B17/B18).
-    The hot-term routing table is built once per actor in __init__.
+    The hot-term routing table is built once per instance in __init__.
     """
 
     def __init__(
@@ -142,7 +142,6 @@ class PostingsExtractor:
         salt_bits: int = 4,
         id_col: str | None = None,
         emit_part: bool = True,
-        combine: bool | None = None,
         positions: bool = False,
         lang_override: str | None = None,
     ) -> None:
@@ -157,14 +156,6 @@ class PostingsExtractor:
         # this (term, doc))) — a self-contained cell, so the shuffle and
         # the segment encoder treat it as an opaque byte string
         self.positions = bool(positions)
-        if self.positions and combine:
-            raise ValueError("positions=True is incompatible with the "
-                             "map-side combiner (combine=True)")
-        # map-side combiner: ship pre-encoded varbyte runs instead of raw
-        # rows (~3x fewer shuffle bytes). Wins when the exchange is
-        # network-bound (real clusters); in THIS sandbox Ray's sort
-        # shuffle handles many small binary cells poorly, so default off.
-        self.combine = False if combine is None else combine
         if hot_terms is not None and isinstance(hot_terms, ray.ObjectRef):
             hot_terms = ray.get(hot_terms)
         self.hot_parts: dict[str, np.ndarray] = {}
@@ -202,11 +193,11 @@ class PostingsExtractor:
             p = self._part_cache[term] = stable_term_hash(term) % self.num_partitions
         return p
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        doc_ids = _doc_ids_for_batch(batch, self.id_col)
+    def tokenize(self, batch: pa.Table):
+        """Per-lang tokenize of the batch's content: (token arrays, their
+        row indices, their in-doc positions, per-row token count dl)."""
         langs = batch.column("lang").to_numpy(zero_copy_only=False)
         content = batch.column("content")
-
         term_arrs: list[pa.Array] = []
         row_arrs: list[np.ndarray] = []
         pos_arrs: list[np.ndarray] = []
@@ -226,7 +217,16 @@ class PostingsExtractor:
                     np.arange(len(parents), dtype=np.int64)
                     - np.searchsorted(parents, parents)
                 )
+        return term_arrs, row_arrs, pos_arrs, dl_batch
 
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return self.extract(batch)[0]
+
+    def extract(self, batch: pa.Table
+                ) -> tuple[pa.Table, np.ndarray, np.ndarray]:
+        """One corpus batch -> (postings, per-row doc_id, per-row dl)."""
+        doc_ids = _doc_ids_for_batch(batch, self.id_col)
+        term_arrs, row_arrs, pos_arrs, dl_batch = self.tokenize(batch)
         if not term_arrs or sum(len(a) for a in term_arrs) == 0:
             empty = {
                 "term": pa.array([], pa.string()),
@@ -237,7 +237,7 @@ class PostingsExtractor:
             if self.positions:
                 empty["pos"] = pa.array([], pa.binary())
             empty["part"] = pa.array([], pa.int32())
-            return pa.table(empty)
+            return pa.table(empty), doc_ids, dl_batch
 
         pos_cells: list[bytes] | None = None
         if self.positions:
@@ -274,7 +274,7 @@ class PostingsExtractor:
         if pos_cells is not None:
             cols["pos"] = pa.array(pos_cells, pa.binary())
         if not self.emit_part:
-            return pa.table(cols)
+            return pa.table(cols), doc_ids, dl_batch
 
         # route per unique term (cached); salt hot terms by doc_id top bits
         term_np = terms.to_numpy(zero_copy_only=False)
@@ -290,12 +290,8 @@ class PostingsExtractor:
                 if table is not None:
                     m = inv == j
                     part[m] = table[salts[m]]
-        if not self.combine:
-            cols["part"] = pa.array(part, pa.int32())
-            return pa.table(cols)
-        return self._combine_runs(
-            uniq, inv.astype(np.int64), part, out_doc_ids, tf, out_dl
-        )
+        cols["part"] = pa.array(part, pa.int32())
+        return pa.table(cols), doc_ids, dl_batch
 
     def _group_with_positions(self, term_arrs, row_arrs, pos_arrs):
         """(row, term) aggregation that also emits each posting's encoded
@@ -329,40 +325,3 @@ class PostingsExtractor:
         )
         terms_g = dict_arr.dictionary.take(pa.array(codes_s[starts]))
         return rows_s[starts], terms_g, tf, cells
-
-    def _combine_runs(self, uniq, term_codes, part, doc_ids, tf, dl) -> pa.Table:
-        """Map-side combiner: collapse this batch's postings into per-
-        (part, term) pre-encoded runs so the shuffle moves ~2-3 B/posting
-        of varbyte instead of ~30 B/posting of raw rows. The delta stream
-        resets at run starts, so the reducer decodes ALL runs of a block
-        with one vectorized pass (no per-run Python)."""
-        from ..functions.codec import (
-            delta_encode_segments,
-            varbyte_encode_segments,
-        )
-
-        order = np.lexsort((doc_ids, term_codes, part))
-        part_s = part[order]
-        codes_s = term_codes[order]
-        ids_s = doc_ids[order].astype(np.uint64)
-        tf_s = tf[order].astype(np.uint64)
-        dl_s = dl[order].astype(np.uint64)
-        n = len(order)
-        change = (part_s[1:] != part_s[:-1]) | (codes_s[1:] != codes_s[:-1])
-        starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-        ends = np.concatenate((starts[1:], [n]))
-        docs_b = varbyte_encode_segments(
-            delta_encode_segments(ids_s, starts), starts
-        )
-        tfs_b = varbyte_encode_segments(tf_s, starts)
-        dls_b = varbyte_encode_segments(dl_s, starts)
-        return pa.table(
-            {
-                "term": pa.array(uniq[codes_s[starts]], pa.string()),
-                "part": pa.array(part_s[starts], pa.int32()),
-                "n": pa.array((ends - starts).astype(np.int32), pa.int32()),
-                "docs": pa.array(docs_b, pa.binary()),
-                "tfs": pa.array(tfs_b, pa.binary()),
-                "dls": pa.array(dls_b, pa.binary()),
-            }
-        )

@@ -15,17 +15,33 @@ import os
 import tempfile
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def _atomic_write(path: str, write) -> None:
+    """``write(tmp)`` into a hidden tmp file beside ``path``, then rename
+    it over ``path``; the tmp file never outlives a failed write."""
     d = os.path.dirname(path)
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
+        write(tmp)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    def write(tmp: str) -> None:
+        with open(tmp, "wb") as f:
+            f.write(data)
+
+    _atomic_write(path, write)
+
+
+def atomic_write_parquet(path: str, table, **write_kw) -> None:
+    import pyarrow.parquet as pq
+
+    _atomic_write(path, lambda tmp: pq.write_table(table, tmp, **write_kw))
 
 
 def atomic_write_json(path: str, obj) -> None:
@@ -115,14 +131,13 @@ class PartitionSegmentWriter:
 
     def __init__(self, out_dir: str, *, part_col: str = "part",
                  sort_keys=None, count_field: str = "n_vecs",
-                 row_group_size: int = 4096, tmp_prefix: str = "part",
+                 row_group_size: int = 4096,
                  name: str = "PartitionSegmentWriter") -> None:
         self.out_dir = out_dir
         self.part_col = part_col
         self.sort_keys = sort_keys or []
         self.count_field = count_field
         self.row_group_size = int(row_group_size)
-        self.tmp_prefix = tmp_prefix
         self.__name__ = name
 
     def extra_manifest_fields(self, seg) -> dict:
@@ -132,7 +147,6 @@ class PartitionSegmentWriter:
         import time
 
         import pyarrow as pa
-        import pyarrow.parquet as pq
 
         empty = pa.table({"part": pa.array([], pa.int32()),
                           self.count_field: pa.array([], pa.int64())})
@@ -144,18 +158,8 @@ class PartitionSegmentWriter:
         if self.sort_keys:
             seg = seg.sort_by(self.sort_keys)
         path = segment_path(self.out_dir, part)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=os.path.dirname(path),
-            prefix=f".tmp-{self.tmp_prefix}-{part:05d}-")
-        os.close(fd)
-        try:
-            pq.write_table(seg, tmp, row_group_size=self.row_group_size,
-                           compression="zstd")
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        atomic_write_parquet(path, seg, row_group_size=self.row_group_size,
+                             compression="zstd")
         entry = {
             "part": part,
             self.count_field: seg.num_rows,

@@ -250,39 +250,151 @@ def test_completed_build_is_noop(ray_session, tmp_path):
     assert m1["n_postings"] == m2["n_postings"]
 
 
-def test_docs_pass_fragment_resume(ray_session, tmp_path):
-    """Path-corpus builds write one docs file per input fragment with
-    deterministic names; a re-run after losing the marker skips finished
-    fragments (mtimes unchanged) and rewrites only missing ones."""
-    import time
-
+def _fragment_corpus(tmp_path, n=90, frags=3, seed=29):
     import pyarrow.parquet as pq
 
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
-    full = make_corpus(90, seed=29)
-    for i in range(3):  # 3 fragments
-        pq.write_table(full.slice(i * 30, 30), str(corpus_dir / f"part-{i}.parquet"))
+    full = make_corpus(n, seed=seed)
+    step = n // frags
+    for i in range(frags):
+        pq.write_table(full.slice(i * step, step),
+                       str(corpus_dir / f"part-{i}.parquet"))
+    return full, str(corpus_dir)
+
+
+def _docs_table(out):
+    return pads.dataset(os.path.join(out, "docs")).to_table().sort_by("doc_id")
+
+
+def _assert_docs_are_corpus(out, corpus):
+    import hashlib
+
+    docs = _docs_table(out)
+    ids = docs.column("doc_id").to_pylist()
+    assert len(ids) == corpus.num_rows == len(set(ids))
+    assert sorted(docs.column("content_sha256").to_pylist()) == sorted(
+        hashlib.sha256(c.encode()).hexdigest()
+        for c in corpus["content"].to_pylist())
+
+
+def test_single_scan_resume_rewrites_docs(ray_session, tmp_path):
+    """The extract map writes one docs file per batch. A resume after
+    losing ``_SUCCESS`` and a docs file, batched differently, leaves
+    exactly the corpus rows in docs/ (no stale or duplicate file)."""
+    full, corpus_dir = _fragment_corpus(tmp_path)
     out = str(tmp_path / "idx")
-    build_index(str(corpus_dir), out, num_partitions=4, detect_hot=False,
-                query_lang="code")
-    docs_dir = os.path.join(out, "docs")
-    frags = sorted(glob.glob(os.path.join(docs_dir, "frag-*.parquet")))
-    assert len(frags) == 3
-    total = pads.dataset(docs_dir).count_rows()
-    assert total == 90
-    mtimes = {p: os.path.getmtime(p) for p in frags}
-    # crash simulation: lose the docs marker and one fragment output
-    os.unlink(os.path.join(out, "_DOCS_SUCCESS"))
+    kw = dict(num_partitions=4, detect_hot=False, query_lang="code",
+              batch_size=30)
+    m1 = build_index(corpus_dir, out, override_num_blocks=3, **kw)
+    docs_files = sorted(glob.glob(os.path.join(out, "docs", "*.parquet")))
+    assert len(docs_files) == 3  # one per extract batch
+    _assert_docs_are_corpus(out, full)
+    first = _docs_table(out)
     os.unlink(os.path.join(out, "_SUCCESS"))
-    os.unlink(frags[1])
-    time.sleep(0.05)
-    build_index(str(corpus_dir), out, num_partitions=4, detect_hot=False,
-                query_lang="code")
-    assert os.path.exists(frags[1])  # rebuilt
-    for p in (frags[0], frags[2]):
-        assert os.path.getmtime(p) == mtimes[p]  # untouched
-    assert pads.dataset(docs_dir).count_rows() == 90
+    os.unlink(docs_files[1])
+    m2 = build_index(corpus_dir, out, override_num_blocks=2, **kw)
+    _assert_docs_are_corpus(out, full)
+    assert _docs_table(out).equals(first)
+    assert m2["parts_skipped_on_resume"] == m1["parts_built"]
+    for key in ("n_docs", "total_len", "n_postings", "lang_stats"):
+        assert m2[key] == m1[key], key
+
+
+def test_resume_with_all_segments_restores_docs(ray_session, tmp_path):
+    """Every partition done but ``_SUCCESS`` and docs/ gone: the same
+    pipeline runs with drop_done removing every posting, and the docs
+    come back."""
+    import shutil
+
+    import ray.data
+
+    corpus = make_corpus(60, seed=23)
+    out = str(tmp_path / "idx")
+    m1 = build_index(ray.data.from_arrow(corpus), out, num_partitions=4,
+                     detect_hot=False, query_lang="code")
+    first = _docs_table(out)
+    segs = {p: mf.file_sha256(p)
+            for p in glob.glob(os.path.join(out, "segments", "*"))}
+    os.unlink(os.path.join(out, "_SUCCESS"))
+    shutil.rmtree(os.path.join(out, "docs"))
+    m2 = build_index(ray.data.from_arrow(corpus), out, num_partitions=4,
+                     detect_hot=False, query_lang="code")
+    assert m2["parts_skipped_on_resume"] == m1["parts_built"]
+    assert _docs_table(out).equals(first)
+    assert {p: mf.file_sha256(p) for p in segs} == segs
+    for key in ("n_docs", "total_len", "n_postings", "lang_stats"):
+        assert m2[key] == m1[key], key
+
+
+def test_extract_postings_docs_write_is_idempotent(tmp_path):
+    """A retried extract task rewrites the same docs file: same name,
+    same rows, no second file."""
+    import pyarrow.parquet as pq
+
+    from donkey_ray.stages.extract import extract_postings
+
+    batch = make_corpus(40, seed=3)
+    docs_dir = str(tmp_path / "docs")
+    os.makedirs(docs_dir)
+    kw = dict(num_partitions=4, docs_dir=docs_dir)
+    p1 = extract_postings(batch, **kw)
+    files = os.listdir(docs_dir)
+    assert len(files) == 1
+    rows = pq.read_table(os.path.join(docs_dir, files[0]))
+    p2 = extract_postings(batch, **kw)
+    assert os.listdir(docs_dir) == files
+    assert pq.read_table(os.path.join(docs_dir, files[0])).equals(rows)
+    assert p1.equals(p2)
+    assert rows.num_rows == 40
+    # without a docs dir: postings only, nothing written
+    assert extract_postings(batch, num_partitions=4).equals(p1)
+
+
+def test_null_content_row_has_zero_doc_len(ray_session, tmp_path):
+    """A null-content row has no tokens: its doc_len is 0, and the
+    per-lang totals still sum to the segment-derived total_len."""
+    import ray.data
+
+    corpus = make_corpus(40, seed=5)
+    for name, value in (("lang", "en"), ("content", None)):
+        col = corpus[name].to_pylist()
+        col[7] = value
+        corpus = corpus.set_column(corpus.schema.get_field_index(name),
+                                   name, pa.array(col, pa.string()))
+    out = str(tmp_path / "idx")
+    meta = build_index(ray.data.from_arrow(corpus), out, num_partitions=4,
+                       detect_hot=False)
+    docs = _docs_table(out).to_pylist()
+    null_rows = [r for r in docs if r["content_sha256"] is None]
+    assert len(null_rows) == 1 and null_rows[0]["doc_len"] == 0
+    assert null_rows[0]["lang"] == "en"
+    assert meta["n_docs"] == 40
+    assert sum(s["total_len"] for s in meta["lang_stats"].values()) \
+        == meta["total_len"]
+
+
+def test_complete_build_does_not_read_corpus(ray_session, tmp_path):
+    """A complete index returns its meta before the corpus is listed:
+    the corpus may be gone."""
+    import shutil
+
+    _full, corpus_dir = _fragment_corpus(tmp_path, n=30)
+    out = str(tmp_path / "idx")
+    m1 = build_index(corpus_dir, out, num_partitions=2, detect_hot=False)
+    shutil.rmtree(corpus_dir)
+    assert build_index(corpus_dir, out, num_partitions=2,
+                       detect_hot=False) == m1
+
+
+def test_atomic_write_parquet_failure_leaves_nothing(tmp_path):
+    """A parquet write that raises leaves neither a tmp file nor the
+    target behind."""
+    target = str(tmp_path / "d" / "t.parquet")
+    with pytest.raises(Exception):
+        mf.atomic_write_parquet(target, pa.table({"x": [1, 2]}),
+                                compression="no-such-codec")
+    assert os.listdir(tmp_path / "d") == []
 
 
 def test_pluggable_scorer(built):

@@ -140,11 +140,6 @@ def test_positions_roundtrip_no_shuffle():
         assert sorted(got[doc_ids[i]]) == want
 
 
-def test_positions_incompatible_with_combiner():
-    with pytest.raises(ValueError, match="combine"):
-        PostingsExtractor(4, positions=True, combine=True)
-
-
 def test_meta_records_positions(built_pos):
     *_, meta = built_pos
     assert meta["positions"] is True

@@ -165,10 +165,12 @@ def test_stop_tokenizer_row_column_parity():
     assert list(dl) == [len(r) for r in rows]
     assert not (set(flat.to_pylist()) & STOPWORDS)
 
-def test_count_column_equals_tokenize_column_dl():
-    """count_column (the docs pass's count-scan shortcut) must equal the
-    dl that tokenize_column returns, for every registered tokenizer,
-    over adversarial identifiers and non-ASCII text."""
+
+def test_tokenize_column_dl_equals_row_tokenize():
+    """tokenize_column's dl (the doc_len the build writes to the docs
+    rows) equals the per-row token count, for every registered
+    tokenizer, over adversarial identifiers and non-ASCII text; a null
+    row has dl 0."""
     import pyarrow as pa
 
     from donkey_ray.functions.tokenize import (CodeTokenizer, FoldTokenizer,
@@ -187,39 +189,7 @@ def test_count_column_equals_tokenize_column_dl():
     for tk in (SimpleTokenizer(), CodeTokenizer(), FoldTokenizer(),
                StemTokenizer(), StopTokenizer()):
         _flat, _parents, dl = tk.tokenize_column(col)
-        cnt = tk.count_column(col)
-        got = [None if v is None else int(v) for v in cnt.to_pylist()]
-        want = [0 if t is None else int(d) for t, d in zip(texts, dl)]
-        # a null row: count kernel yields null, bincount yields 0 — both
-        # mean "no tokens"; normalize
-        got = [0 if g is None else g for g in got]
-        assert got == want, (tk.name, got, want)
-        # per-row twin agrees too (non-null rows)
+        assert dl[texts.index(None)] == 0, tk.name
         for t, d in zip(texts, dl):
             if t is not None:
                 assert len(tk.tokenize(t)) == d or not t.isascii()
-
-
-def test_code_count_column_fuzz():
-    """The allocation-free boundary-count scans (CodeTokenizer
-    count_column) equal tokenize_column's dl over random identifier
-    soup — including digit-initial strings and non-ASCII separators
-    (regression: Arrow's count kernel re-anchors '^' at scan resume,
-    so the rule-D count must avoid '^' alternations)."""
-    import random
-    import string
-
-    import pyarrow as pa
-
-    from donkey_ray.functions.tokenize import CodeTokenizer
-
-    tk = CodeTokenizer()
-    rng = random.Random(41)
-    alphabet = string.ascii_letters + string.digits + "_ .É0129"
-    texts = ["".join(rng.choice(alphabet)
-                     for _ in range(rng.randint(0, 60)))
-             for _ in range(4000)]
-    col = pa.array(texts, pa.string())
-    _flat, _parents, dl = tk.tokenize_column(col)
-    cnt = tk.count_column(col).to_pylist()
-    assert cnt == list(dl)
