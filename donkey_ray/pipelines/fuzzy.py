@@ -220,8 +220,7 @@ def fuzzy_topk(
     for t in sorted(set(eng._tok.tokenize(text))):
         for d in dirs:
             matched.update(expand_fuzzy(d, t, max_candidates=max_candidates))
-    runs_by_term = {t: r for t in sorted(matched) if (r := eng.term_runs(t))}
-    return eng._dispatch_topk(runs_by_term, k)
+    return eng.terms_topk(sorted(matched), k)
 
 
 def expand_substring(
@@ -310,5 +309,4 @@ def wildcard_topk(
         for d in dirs:
             matched.update(expand_substring(
                 d, s, where, max_candidates=max_candidates))
-    runs_by_term = {t: r for t in sorted(matched) if (r := eng.term_runs(t))}
-    return eng._dispatch_topk(runs_by_term, k)
+    return eng.terms_topk(sorted(matched), k)

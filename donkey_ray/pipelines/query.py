@@ -1397,7 +1397,6 @@ def bm25f_topk(
     import numpy as np
 
     from ..functions import scoring
-    from ..stages.score import _PhrasePostings
 
     engines = {f: QueryEngine(d) for f, d in sorted(field_indexes.items())}
     langs = {e.meta.get("query_lang") for e in engines.values()}
@@ -1411,11 +1410,9 @@ def bm25f_topk(
     parts_docs: list[np.ndarray] = []
     parts_sc: list[np.ndarray] = []
     for t in terms:
-        fps = []
-        for f, e in engines.items():  # dict keeps sorted insertion order
-            rows = e.term_runs(t)
-            if rows:
-                fps.append((f, e, _PhrasePostings(rows, e.block_size)))
+        # dict keeps sorted insertion order
+        fps = [(f, e, p) for f, e in engines.items()
+               if (p := e.postings(t)) is not None]
         if not fps:
             continue
         union = fps[0][2].docs

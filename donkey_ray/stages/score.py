@@ -14,7 +14,9 @@ multiple partitions); each run is an independent block-max iterator of
 the same term (disjoint doc_id sets), idf computed from the summed df.
 
 Two scorers, rank/score-identical (adversarially tested):
-  exact — decode every candidate posting, vectorized BM25 + top-k.
+  exact — every operator except WAND reads one decoded, doc-merged
+          ``_TermPostings`` entry per term from one term-keyed LRU, then
+          scores vectorized + top-k.
   wand  — block-max WAND with LAZY per-block decode: pruned blocks are
           never decoded (the doc-id delta stream resets per block and the
           segment stores per-block byte offsets). Single-iterator queries
@@ -23,12 +25,13 @@ Two scorers, rank/score-identical (adversarially tested):
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import os
 from collections import OrderedDict
+from itertools import accumulate
 
 import numpy as np
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..functions import scoring
@@ -36,6 +39,64 @@ from ..functions.codec import decode_blocked_deltas, varbyte_decode
 from ..functions.tokenize import get_tokenizer
 from ..state import manifest as mf
 from .. import schemas
+
+_CACHE_GROUPS = 16      # per shard: cached term/df columns and row groups
+_CACHE_PARTS = 64       # open segment shards per engine
+_CACHE_TERM_RUNS = 1024  # term -> segment rows
+_TOPDOCS_K = 256        # ranked depth of a postings entry's ``top``
+# decoded values over every array a postings entry holds: 4M postings
+# of (docs, tfs, dls, scores), ~128 MB per engine at 8 bytes a value
+_POSTINGS_BUDGET = 16_000_000
+
+
+class _LRU:
+    """Least-recently-used map bounded by the summed ``size`` of its
+    values (1 per entry by default: a count bound). ``get`` and ``load``
+    refresh recency; ``put`` evicts oldest-first until the total is
+    within ``budget`` again (a value larger than the whole budget is
+    not kept)."""
+
+    def __init__(self, budget: int, size=lambda v: 1) -> None:
+        self.budget = budget
+        self.size = size
+        self.total = 0
+        self._d: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        v = self._d.get(key)
+        if v is not None:
+            self._d.move_to_end(key)
+        return v
+
+    def put(self, key, value):
+        if key in self._d:
+            self.total -= self.size(self._d.pop(key))
+        self._d[key] = value
+        self.total += self.size(value)
+        while self.total > self.budget:
+            _, old = self._d.popitem(last=False)
+            self.total -= self.size(old)
+        return value
+
+    def load(self, key, compute):
+        """The cached value of ``key``, else ``put(key, compute())``
+        (None values are cached too)."""
+        if key in self._d:
+            self._d.move_to_end(key)
+            return self._d[key]
+        return self.put(key, compute())
+
+
+def _concat(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _ranked(docs: np.ndarray, scores: np.ndarray,
+            k: int) -> list[tuple[int, float]]:
+    """Top-k (doc_id, score) pairs in the pinned (score desc, doc_id
+    asc) order."""
+    o = scoring.topk_order(docs, scores, k)
+    return list(zip(docs[o].tolist(), scores[o].tolist()))
 
 
 class _Run:
@@ -152,7 +213,7 @@ class _SegmentShard:
     by the row-group LRU caches — NEVER proportional to the partition's
     vocabulary, so actors stay small at 10^9+-term corpora."""
 
-    def __init__(self, path: str, *, cache_groups: int = 16) -> None:
+    def __init__(self, path: str) -> None:
         self.pf = pq.ParquetFile(path)
         md = self.pf.metadata
         self.n_groups = md.num_row_groups if md.num_rows else 0
@@ -173,44 +234,33 @@ class _SegmentShard:
                 else:
                     self.rg_min.append(None)
                     self.rg_max.append(None)
-        self._terms_cache: OrderedDict[int, np.ndarray] = OrderedDict()
-        self._group_cache: OrderedDict[int, pa.Table] = OrderedDict()
-        self._cache_groups = cache_groups
-
-    def _lru(self, cache: OrderedDict, g: int, load):
-        v = cache.get(g)
-        if v is None:
-            v = cache[g] = load()
-            while len(cache) > self._cache_groups:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(g)
-        return v
+        self._stats_complete = None not in self.rg_max
+        # term column of group g under key g, its df column under -g - 1
+        self._columns = _LRU(_CACHE_GROUPS)
+        self._groups = _LRU(_CACHE_GROUPS)
 
     def _candidate_group(self, term: str) -> int | None:
-        lo, hi = 0, self.n_groups - 1
-        if hi < 0:
+        if not self.n_groups:
             return None
-        if any(m is None for m in self.rg_max):
+        if not self._stats_complete:
             # stats missing (shouldn't happen with our writer): scan
             for g in range(self.n_groups):
                 terms = self._group_terms(g)
                 if len(terms) and terms[0] <= term <= terms[-1]:
                     return g
             return None
-        import bisect
-
         g = bisect.bisect_left(self.rg_max, term)
         if g >= self.n_groups or self.rg_min[g] > term:
             return None
         return g
 
+    def _group_column(self, g: int, key: int, name: str) -> np.ndarray:
+        return self._columns.load(
+            key, lambda: self.pf.read_row_group(g, columns=[name])
+            .column(name).to_numpy(zero_copy_only=False))
+
     def _group_terms(self, g: int) -> np.ndarray:
-        return self._lru(
-            self._terms_cache, g,
-            lambda: self.pf.read_row_group(g, columns=["term"])
-            .column("term").to_numpy(zero_copy_only=False),
-        )
+        return self._group_column(g, g, "term")
 
     def terms_in_range(self, lo: str, hi: str) -> list[str]:
         """All dictionary terms t with lo <= t < hi, in term order.
@@ -240,12 +290,7 @@ class _SegmentShard:
         i = int(np.searchsorted(terms, term))
         if i >= len(terms) or terms[i] != term:
             return None
-        dfs = self._lru(
-            self._terms_cache, -g - 1,
-            lambda: self.pf.read_row_group(g, columns=["df"])
-            .column("df").to_numpy(zero_copy_only=False),
-        )
-        return int(dfs[i])
+        return int(self._group_column(g, -g - 1, "df")[i])
 
     def find(self, term: str) -> dict | None:
         """Full segment row for ``term`` (postings + block metadata), or
@@ -258,75 +303,99 @@ class _SegmentShard:
         i = int(np.searchsorted(terms, term))
         if i >= len(terms) or terms[i] != term:
             return None
-        tbl = self._lru(self._group_cache, g, lambda: self.pf.read_row_group(g))
+        tbl = self._groups.load(g, lambda: self.pf.read_row_group(g))
         return {name: tbl.column(name)[i].as_py() for name in tbl.column_names}
 
 
-class _PhrasePostings:
-    """Positional postings of ONE term across its runs (salted / federated
-    — disjoint doc sets), merged doc-sorted, with LAZY per-block position
-    decode: only blocks that contain candidate postings are ever decoded
-    (the position delta stream resets at every posting and the segment
-    stores per-block byte offsets)."""
+class _TermPostings:
+    """ONE term's postings across all its runs (salted / federated —
+    disjoint doc sets), decoded and merged doc-sorted: ``docs``,
+    ``tfs``, ``dls`` (float64) and the query-independent BM25 ``scores``
+    = idf(df) * tf_weight (df, n_docs and avgdl are engine constants),
+    plus a lazily ranked ``top`` for repeated single-term top-k.
+    Positions decode LAZILY per block (``positions_for``): only blocks
+    holding selected postings are ever decoded (the position delta
+    stream resets at every posting and the segment stores per-block
+    byte offsets). Arrays are shared across queries, so read-only."""
 
-    def __init__(self, rows: list[dict], block_size: int) -> None:
+    def __init__(self, rows: list[dict], block_size: int, scorer,
+                 n_docs: int, avgdl: float) -> None:
         self.block_size = block_size
-        self.rows = rows
-        self._run_docs = [
-            decode_blocked_deltas(r["doc_ids"], int(r["df"]), block_size)
-            for r in rows
-        ]
-        self._run_tfs = [
-            varbyte_decode(r["tfs"]).astype(np.int64) for r in rows
-        ]
-        docs = np.concatenate(self._run_docs)
-        dls = np.concatenate(
-            [varbyte_decode(r["dls"]).astype(np.int64) for r in rows]
-        )
-        run_id = np.concatenate(
-            [np.full(len(d), i, dtype=np.int64)
-             for i, d in enumerate(self._run_docs)]
-        )
-        loc = np.concatenate(
-            [np.arange(len(d), dtype=np.int64) for d in self._run_docs]
-        )
-        order = np.argsort(docs, kind="stable")
-        self.docs = docs[order]  # globally sorted; unique (runs disjoint)
-        self.dls = dls[order]
-        self.tfs = np.concatenate(self._run_tfs)[order]
-        self._run_id = run_id[order]
-        self._loc = loc[order]
+        run_docs = [decode_blocked_deltas(r["doc_ids"], int(r["df"]),
+                                          block_size) for r in rows]
+        order = sorted(range(len(rows)), key=lambda i: int(run_docs[i][0]))
+        run_docs = [run_docs[i] for i in order]
+        rows = [rows[i] for i in order]
+        # run r holds concatenated postings [off[r], off[r + 1])
+        self._off = [0, *accumulate(d.size for d in run_docs)]
+        # per run: the position stream and its block byte offsets (only
+        # these of a segment row are kept; positional indexes only)
+        self._poss = [(r["poss"], np.asarray(r["block_pos_boff"], np.int64))
+                      for r in rows] if "poss" in rows[0] else None
+        docs = _concat(run_docs)
+        tfs = _concat([varbyte_decode(r["tfs"]) for r in rows])
+        dls = _concat([varbyte_decode(r["dls"]) for r in rows])
+        tfs, dls = tfs.astype(np.float64), dls.astype(np.float64)
+        # each run is doc-sorted, so runs in first-doc order concatenate
+        # sorted (salted runs) unless two interleave (federated members):
+        # one argsort repairs that
+        self._perm = self._inv = None  # merged <-> concatenated index
+        if any(a[-1] > b[0] for a, b in zip(run_docs, run_docs[1:])):
+            self._perm = np.argsort(docs, kind="stable")
+            self._inv = np.empty_like(self._perm)
+            self._inv[self._perm] = np.arange(self._perm.size)
+            docs, tfs, dls = docs[self._perm], tfs[self._perm], dls[self._perm]
+        self.idf = float(scorer.idf(docs.size, n_docs))
+        self.docs, self.tfs, self.dls = docs, tfs, dls
+        self.scores = self.idf * scorer.tf_weight(tfs, dls, avgdl)
+        for a in (docs, tfs, dls, self.scores):
+            a.flags.writeable = False
+        self._top: tuple[np.ndarray, np.ndarray] | None = None
+        # the budgeted size in 8-byte values: every array, ``top`` at its
+        # full depth, and the kept position streams
+        self.n_values = (4 * docs.size + 2 * min(_TOPDOCS_K, docs.size)
+                         + (0 if self._perm is None else 2 * docs.size)
+                         + sum(len(p) // 8 + o.size for p, o in self._poss or ()))
+
+    def top(self) -> tuple[np.ndarray, np.ndarray]:
+        """(docs, scores) of the term's top ``_TOPDOCS_K`` postings,
+        ranked; computed on first use."""
+        if self._top is None:
+            o = scoring.topk_order(self.docs, self.scores, _TOPDOCS_K)
+            self._top = (self.docs[o], self.scores[o])
+        return self._top
 
     def positions_for(self, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sel: indices into self.docs. Returns (docs_rep, positions) —
         every (doc, token position) pair of the selected postings,
         flattened. Decodes only the blocks the selected postings live in."""
+        cat = sel if self._perm is None else self._perm[sel]
+        run = np.searchsorted(self._off, cat, side="right") - 1
         out_docs: list[np.ndarray] = []
         out_pos: list[np.ndarray] = []
-        run_sel = self._run_id[sel]
-        for r in np.unique(run_sel):
-            m = run_sel == r
-            idxs = np.sort(self._loc[sel[m]])
-            d, p = self._run_positions(int(r), idxs)
+        for r in np.unique(run):
+            d, p = self._run_positions(int(r), np.sort(cat[run == r]))
             out_docs.append(d)
             out_pos.append(p)
         if not out_docs:
             return (np.empty(0, dtype=np.int64),) * 2
         return np.concatenate(out_docs), np.concatenate(out_pos)
 
-    def _run_positions(self, r: int, idxs: np.ndarray):
-        row = self.rows[r]
-        boff = np.asarray(row["block_pos_boff"], dtype=np.int64)
-        tfs = self._run_tfs[r]
-        docs = self._run_docs[r]
+    def _run_positions(self, r: int, cat: np.ndarray):
+        poss, boff = self._poss[r]
+        base = self._off[r]
+        idxs = cat - base  # run-local posting indices, sorted
         bs = self.block_size
-        n = len(docs)
+        n = self._off[r + 1] - base
         out_docs: list[np.ndarray] = []
         out_pos: list[np.ndarray] = []
         for b in np.unique(idxs // bs):
             lo, hi = int(b) * bs, min((int(b) + 1) * bs, n)
-            deltas = varbyte_decode(row["poss"][boff[b]: boff[b + 1]])
-            counts = tfs[lo:hi]
+            # merged indices of the block's postings, in run order
+            blk = (np.arange(base + lo, base + hi) if self._inv is None
+                   else self._inv[base + lo: base + hi])
+            deltas = varbyte_decode(poss[boff[b]: boff[b + 1]])
+            counts = self.tfs[blk].astype(np.int64)
             starts = np.zeros(len(counts), dtype=np.int64)
             np.cumsum(counts[:-1], out=starts[1:])
             c = np.cumsum(deltas, dtype=np.uint64)
@@ -341,7 +410,7 @@ class _PhrasePostings:
                 - np.repeat(np.cumsum(cnt) - cnt, cnt)
             )
             out_pos.append(abs_pos[flat])
-            out_docs.append(np.repeat(docs[j + lo], cnt))
+            out_docs.append(np.repeat(self.docs[blk[j]], cnt))
         return np.concatenate(out_docs), np.concatenate(out_pos)
 
 
@@ -353,10 +422,16 @@ class QueryEngine:
     partition; hot terms: the salted partition set from the build
     manifest), and each partition shard resolves the term by row-group-
     pruned binary search (_SegmentShard). Per-actor memory is O(LRU
-    caches), independent of corpus vocabulary."""
+    caches), independent of corpus vocabulary.
+
+    The engine never changes after construction (a flush or compaction
+    opens a new one), so a term string is an exact cache key: every
+    exact operator reads one ``_TermPostings`` entry per term from one
+    values-budgeted, term-keyed LRU (``postings``); WAND reads the raw
+    segment rows (``term_runs``) and decodes blocks lazily."""
 
     def __init__(self, index_dir: str | list[str], *, mode: str = "auto",
-                 cache_parts: int = 64, scorer: str = "bm25") -> None:
+                 scorer: str = "bm25") -> None:
         """``index_dir`` may be a LIST of index dirs: federated exact BM25
         over the union corpus (incremental builds are queried without
         compaction — donkey's multi-segment search analogue). Stats are
@@ -411,47 +486,17 @@ class QueryEngine:
         self.scorer = scoring.get_scorer(scorer)
         self._hot = [set(m.get("hot_terms", ())) for m in metas]
         self._parts_built = [set(m["parts_built"]) for m in metas]
-        self._shards: dict[tuple[int, int], _SegmentShard | None] = {}
-        self._cache_parts = cache_parts
-        # small term->runs LRU (bounded; helps repeated query terms)
-        self._runs_cache: OrderedDict[str, list[dict]] = OrderedDict()
-        # decoded-run LRU for the exact path: hot (Zipf) query terms
-        # re-decode the same posting buffers on every query otherwise.
-        # Budget counts decoded VALUES (ids+tfs+dls), so per-actor
-        # memory stays bounded (~8M values ~= 64 MB) however hot the
-        # workload — keys are the raw buffer bytes (content-compared)
-        self._decoded_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._decoded_values = 0
-        self._decoded_budget = 8_000_000
-        # term-level LRU: the fully MERGED, idf-scaled (ids, scores) of
-        # one term is query-independent end-to-end (df, avgdl, n_docs
-        # are engine constants), so a repeated query term costs one
-        # cache hit + top-k instead of re-merging its salted runs
-        self._term_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._term_values = 0
-        self._term_budget = 8_000_000
-        # top-docs LRU (the Lucene top-impacts shortcut): a SINGLE-term
-        # query's ranked top-K is query-independent, so it caches whole
-        # — answering a repeated one-term query costs O(k), no pass
-        # over the posting-length arrays at all. Byte-budgeted INCLUDING
-        # the raw posting buffers the keys pin (they dominate for
-        # mid-df terms); exactness is preserved because the entry is
-        # the same topk_order the full path would compute.
-        self._topdocs_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._topdocs_bytes = 0
+        self._shards = _LRU(_CACHE_PARTS)  # (ix, part) -> shard | None
+        self._runs = _LRU(_CACHE_TERM_RUNS)
+        self._postings = _LRU(_POSTINGS_BUDGET, size=lambda p: p.n_values)
         self.blocks_decoded = 0  # instrumentation (pruning effectiveness)
 
     def _shard(self, ix: int, part: int) -> _SegmentShard | None:
-        key = (ix, part)
-        if key not in self._shards:
+        def open_shard():
             path = mf.segment_path(self.index_dirs[ix], part)
-            self._shards[key] = (
-                _SegmentShard(path) if os.path.exists(path) else None
-            )
-            # bound the number of open shards (file handles + caches)
-            while len(self._shards) > max(self._cache_parts, 4):
-                self._shards.pop(next(iter(self._shards)))
-        return self._shards[key]
+            return _SegmentShard(path) if os.path.exists(path) else None
+
+        return self._shards.load((ix, part), open_shard)
 
     def _candidate_parts(self, ix: int, term: str) -> list[int]:
         from ..functions.hashing import salted_parts, stable_term_hash
@@ -465,28 +510,104 @@ class QueryEngine:
     def term_runs(self, term: str) -> list[dict]:
         """All posting runs of ``term`` across indexes/salted partitions
         (disjoint doc sets), resolved via the sharded dictionary."""
-        runs = self._runs_cache.get(term)
-        if runs is not None:
-            self._runs_cache.move_to_end(term)
+        def resolve():
+            runs = []
+            for ix in range(len(self.index_dirs)):
+                for part in self._candidate_parts(ix, term):
+                    if part not in self._parts_built[ix]:
+                        continue
+                    shard = self._shard(ix, part)
+                    row = shard.find(term) if shard is not None else None
+                    if row is not None:
+                        runs.append(row)
             return runs
-        runs = []
-        for ix in range(len(self.index_dirs)):
-            for part in self._candidate_parts(ix, term):
-                if part not in self._parts_built[ix]:
-                    continue
-                shard = self._shard(ix, part)
-                if shard is None:
-                    continue
-                row = shard.find(term)
-                if row is not None:
-                    runs.append(row)
-        self._runs_cache[term] = runs
-        while len(self._runs_cache) > 1024:
-            self._runs_cache.popitem(last=False)
-        return runs
+
+        return self._runs.load(term, resolve)
 
     def term_df(self, term: str) -> int:
         return sum(int(r["df"]) for r in self.term_runs(term))
+
+    def postings(self, term: str) -> _TermPostings | None:
+        """The decoded, doc-merged postings of ``term`` (None when no
+        index holds it) — the one cache every exact operator reads."""
+        p = self._postings.get(term)
+        if p is None:
+            rows = [r for r in self.term_runs(term) if int(r["df"])]
+            if not rows:
+                return None
+            p = self._postings.put(term, _TermPostings(
+                rows, self.block_size, self.scorer, self.n_docs, self.avgdl))
+        return p
+
+    def _load(self, terms) -> dict[str, _TermPostings]:
+        """Entries of the ``terms`` that have postings, in first-seen
+        order."""
+        post: dict[str, _TermPostings] = {}
+        for t in terms:
+            if t not in post and (p := self.postings(t)) is not None:
+                post[t] = p
+        return post
+
+    def _conjunction(
+        self, terms: list[str]
+    ) -> tuple[dict[str, _TermPostings], np.ndarray] | None:
+        """Entries of every term and the sorted docs holding them all
+        (intersected rarest first, so cost is bounded by the rarest
+        list); None when a term is missing or no doc holds them all."""
+        post = self._load(terms)
+        if len(post) < len(set(terms)):
+            return None
+        ts = sorted(post, key=lambda t: post[t].docs.size)
+        cand = post[ts[0]].docs
+        for t in ts[1:]:
+            cand = cand[np.isin(cand, post[t].docs, assume_unique=True)]
+            if cand.size == 0:
+                return None
+        return post, cand
+
+    def _contributions(self, post: dict[str, _TermPostings],
+                       terms: list[str], docs: np.ndarray,
+                       boosts: dict[str, float] | None = None):
+        """Per term of ``terms`` (caller's order) with an entry that
+        occurs in some of the sorted ``docs``: (term, its entry, mask of
+        those docs, their posting indices, their contributions
+        ``(boost * idf) * tf_weight``)."""
+        for t in terms:
+            p = post.get(t)
+            if p is None:
+                continue
+            sel = np.searchsorted(p.docs, docs)
+            inb = sel < p.docs.size
+            present = inb.copy()
+            present[inb] = p.docs[sel[inb]] == docs[inb]
+            if not present.any():
+                continue
+            s = sel[present]
+            w = float((boosts or {}).get(t, 1.0))
+            yield t, p, present, s, (w * p.idf) * self.scorer.tf_weight(
+                p.tfs[s], p.dls[s], self.avgdl)
+
+    def _score_docs(self, post: dict[str, _TermPostings], terms: list[str],
+                    docs: np.ndarray,
+                    boosts: dict[str, float] | None = None) -> np.ndarray:
+        """Summed (boosted) BM25 of each of the sorted ``docs`` over the
+        ``terms`` it contains, added in ``terms`` order."""
+        scores = np.zeros(docs.size, dtype=np.float64)
+        for _t, _p, present, _s, c in self._contributions(
+                post, terms, docs, boosts):
+            scores[present] += c
+        return scores
+
+    def _doc_union(self, terms) -> np.ndarray:
+        """Sorted docs holding ANY of ``terms``."""
+        docs = [p.docs for p in self._load(terms).values()]
+        return (np.unique(np.concatenate(docs)) if docs
+                else np.empty(0, dtype=np.int64))
+
+    def _require_positions(self, what: str) -> None:
+        if not all(m.get("positions") for m in self.metas):
+            raise ValueError(
+                f"{what} queries require an index built with positions=True")
 
     # auto mode: below this many candidate postings the vectorized
     # decode-everything scorer beats WAND's block bookkeeping; above it,
@@ -494,7 +615,13 @@ class QueryEngine:
     AUTO_EXACT_MAX_POSTINGS = 1_000_000
 
     def topk(self, text: str, k: int) -> list[tuple[int, float]]:
-        terms = sorted(set(self._tok.tokenize(text)))
+        return self.terms_topk(sorted(set(self._tok.tokenize(text))), k)
+
+    def terms_topk(self, terms: list[str],
+                   k: int) -> list[tuple[int, float]]:
+        """Disjunctive BM25 top-k over an explicit term list (query
+        terms or an expansion: prefix, synonym, fuzzy, wildcard); scores
+        add in list order. Terms without postings drop out."""
         runs_by_term = {t: r for t in terms if (r := self.term_runs(t))}
         return self._dispatch_topk(runs_by_term, k)
 
@@ -510,7 +637,7 @@ class QueryEngine:
             )
             mode = "exact" if total <= self.AUTO_EXACT_MAX_POSTINGS else "wand"
         if mode == "exact":
-            return self._topk_exact(runs_by_term, k)
+            return self._topk_exact(list(runs_by_term), k)
         return self._topk_wand(runs_by_term, k)
 
     def expand_prefix(self, prefix: str, *, max_terms: int = 256) -> list[str]:
@@ -549,9 +676,8 @@ class QueryEngine:
         toks = self._tok.tokenize(prefix)
         if not toks or k <= 0:
             return []
-        terms = self.expand_prefix(toks[0], max_terms=max_terms)
-        runs_by_term = {t: r for t in terms if (r := self.term_runs(t))}
-        return self._dispatch_topk(runs_by_term, k)
+        return self.terms_topk(
+            self.expand_prefix(toks[0], max_terms=max_terms), k)
 
     def phrase_topk(self, text: str, k: int) -> list[tuple[int, float]]:
         """Exact phrase top-k over a POSITIONAL index (built with
@@ -565,30 +691,15 @@ class QueryEngine:
         intersection of the terms' doc lists (rarest first); adjacency via
         intersection of (doc, pos - slot) key sets, with positions decoded
         LAZILY only for blocks holding candidate postings."""
-        if not all(m.get("positions") for m in self.metas):
-            raise ValueError(
-                "phrase queries require an index built with positions=True"
-            )
+        self._require_positions("phrase")
         terms = self._tok.tokenize(text)
-        if not terms or k <= 0:
+        if not terms or k <= 0 or (conj := self._conjunction(terms)) is None:
             return []
-        post: dict[str, _PhrasePostings] = {}
-        for t in set(terms):
-            rows = self.term_runs(t)
-            if not rows:
-                return []
-            post[t] = _PhrasePostings(rows, self.block_size)
-        ts = sorted(post, key=lambda t: post[t].docs.size)
-        cand = post[ts[0]].docs
-        for t in ts[1:]:
-            cand = cand[np.isin(cand, post[t].docs, assume_unique=True)]
-            if cand.size == 0:
-                return []
+        post, cand = conj
         keys: np.ndarray | None = None
         for i, t in enumerate(terms):
             p = post[t]
-            sel = np.searchsorted(p.docs, cand)
-            docs_rep, pos_flat = p.positions_for(sel)
+            docs_rep, pos_flat = p.positions_for(np.searchsorted(p.docs, cand))
             di = np.searchsorted(cand, docs_rep).astype(np.int64)
             m = pos_flat >= i
             # dense candidate index in the high bits keeps the key an
@@ -601,15 +712,20 @@ class QueryEngine:
                 return []
         di = (keys >> np.int64(32)).astype(np.int64)
         tf = np.bincount(di, minlength=cand.size).astype(np.float64)
+        return self._pseudo_term_topk(post[terms[0]], cand, tf, k)
+
+    def _pseudo_term_topk(self, p0: _TermPostings, cand: np.ndarray,
+                          tf: np.ndarray, k: int) -> list[tuple[int, float]]:
+        """Score a phrase as one pseudo-term: ``tf`` per candidate doc,
+        df = docs with tf > 0, dl from the first term's entry."""
         matched = tf > 0
         df = int(matched.sum())
-        p0 = post[terms[0]]
-        dl = p0.dls[np.searchsorted(p0.docs, cand)].astype(np.float64)
+        if df == 0:
+            return []
+        dl = p0.dls[np.searchsorted(p0.docs, cand)]
         idf = float(self.scorer.idf(df, self.n_docs))
         scores = idf * self.scorer.tf_weight(tf[matched], dl[matched], self.avgdl)
-        docs_m = cand[matched]
-        order = scoring.topk_order(docs_m, scores, k)
-        return [(int(docs_m[i]), float(scores[i])) for i in order]
+        return _ranked(cand[matched], scores, k)
 
     def sloppy_topk(self, text: str, k: int,
                     slop: int = 2) -> list[tuple[int, float]]:
@@ -628,34 +744,18 @@ class QueryEngine:
         Vectorized: one (doc<<32|pos) key-set intersection per adjacent
         pair per gap value — (n-1)(slop+1) np.isin passes over unique
         key arrays, no per-doc Python loop."""
-        if not all(m.get("positions") for m in self.metas):
-            raise ValueError(
-                "sloppy-phrase queries require an index built with "
-                "positions=True")
+        self._require_positions("sloppy-phrase")
         if slop < 0:
             raise ValueError("slop must be >= 0")
         terms = self._tok.tokenize(text)
         if len(terms) < 2:
             raise ValueError("sloppy phrase needs >= 2 query tokens")
-        if k <= 0:
+        if k <= 0 or (conj := self._conjunction(terms)) is None:
             return []
-        post: dict[str, _PhrasePostings] = {}
-        for t in set(terms):
-            rows = self.term_runs(t)
-            if not rows:
-                return []
-            post[t] = _PhrasePostings(rows, self.block_size)
-        ts = sorted(post, key=lambda t: post[t].docs.size)
-        cand = post[ts[0]].docs
-        for t in ts[1:]:
-            cand = cand[np.isin(cand, post[t].docs, assume_unique=True)]
-            if cand.size == 0:
-                return []
+        post, cand = conj
         keys: dict[str, np.ndarray] = {}
-        for t in post:
-            p = post[t]
-            sel = np.searchsorted(p.docs, cand)
-            docs_rep, pos_flat = p.positions_for(sel)
+        for t, p in post.items():
+            docs_rep, pos_flat = p.positions_for(np.searchsorted(p.docs, cand))
             di = np.searchsorted(cand, docs_rep).astype(np.int64)
             keys[t] = (di << np.int64(32)) | pos_flat
         tfw = np.zeros(cand.size, dtype=np.float64)
@@ -667,18 +767,7 @@ class QueryEngine:
                 if hit.size:
                     np.add.at(tfw, (hit >> np.int64(32)).astype(np.int64),
                               2.0 ** -gap)
-        matched = tfw > 0
-        df = int(matched.sum())
-        if df == 0:
-            return []
-        p0 = post[terms[0]]
-        dl = p0.dls[np.searchsorted(p0.docs, cand)].astype(np.float64)
-        idf = float(self.scorer.idf(df, self.n_docs))
-        scores = idf * self.scorer.tf_weight(
-            tfw[matched], dl[matched], self.avgdl)
-        docs_m = cand[matched]
-        order = scoring.topk_order(docs_m, scores, k)
-        return [(int(docs_m[i]), float(scores[i])) for i in order]
+        return self._pseudo_term_topk(post[terms[0]], cand, tfw, k)
 
     def near_topk(self, text: str, k: int, window: int = 4) -> list[tuple[int, float]]:
         """Proximity-filtered conjunctive BM25 over a positional index.
@@ -686,33 +775,22 @@ class QueryEngine:
         Pinned semantics: a doc matches iff it contains EVERY distinct
         query term AND there is a position p of the FIRST query term (the
         anchor) such that each other term occurs at some position q with
-        |q - p| < window. Matching docs are scored with the ordinary BM25
-        sum over the distinct query terms (global per-term df), ties
-        broken by ascending doc_id. SQL equivalent: correlated EXISTS per
-        non-anchor term with abs(b.p - a.p) < window."""
-        if not all(m.get("positions") for m in self.metas):
-            raise ValueError(
-                "proximity queries require an index built with positions=True"
-            )
+        |q - p| < window (``window`` >= 1). Matching docs are scored with
+        the ordinary BM25 sum over the distinct query terms (global
+        per-term df), ties broken by ascending doc_id. SQL equivalent:
+        correlated EXISTS per non-anchor term with abs(b.p - a.p) <
+        window."""
+        self._require_positions("proximity")
+        if window < 1:
+            raise ValueError("window must be >= 1")
         terms = list(dict.fromkeys(self._tok.tokenize(text)))  # distinct, ordered
-        if not terms or k <= 0:
+        if not terms or k <= 0 or (conj := self._conjunction(terms)) is None:
             return []
-        post: dict[str, _PhrasePostings] = {}
-        for t in terms:
-            rows = self.term_runs(t)
-            if not rows:
-                return []
-            post[t] = _PhrasePostings(rows, self.block_size)
-        cand = post[terms[0]].docs
-        for t in sorted(terms[1:], key=lambda t: post[t].docs.size):
-            cand = cand[np.isin(cand, post[t].docs, assume_unique=True)]
-            if cand.size == 0:
-                return []
+        post, cand = conj
         if len(terms) == 1:
             # degenerate: no proximity constraint — plain single-term BM25
             # (skips the position decode entirely)
-            matched = cand
-            return self._score_conjunctive(post, terms, matched, k)
+            return _ranked(cand, self._score_docs(post, terms, cand), k)
         anchor = post[terms[0]]
         d0, p0 = anchor.positions_for(np.searchsorted(anchor.docs, cand))
         di0 = np.searchsorted(cand, d0).astype(np.int64)
@@ -729,7 +807,7 @@ class QueryEngine:
             if not ok.any():
                 return []
         matched = np.unique(d0[ok])
-        return self._score_conjunctive(post, terms, matched, k)
+        return _ranked(matched, self._score_docs(post, terms, matched), k)
 
     def and_topk(self, text: str, k: int) -> list[tuple[int, float]]:
         """Conjunctive (AND) BM25 top-k via posting-list intersection:
@@ -741,21 +819,10 @@ class QueryEngine:
         rarest term's posting list after the first step. SQL equivalent:
         the bag-of-words scorer plus HAVING count(matched terms) = n."""
         terms = sorted(set(self._tok.tokenize(text)))
-        if not terms or k <= 0:
+        if not terms or k <= 0 or (conj := self._conjunction(terms)) is None:
             return []
-        post: dict[str, _PhrasePostings] = {}
-        for t in terms:
-            rows = self.term_runs(t)
-            if not rows:
-                return []
-            post[t] = _PhrasePostings(rows, self.block_size)
-        ts = sorted(terms, key=lambda t: post[t].docs.size)
-        cand = post[ts[0]].docs
-        for t in ts[1:]:
-            cand = cand[np.isin(cand, post[t].docs, assume_unique=True)]
-            if cand.size == 0:
-                return []
-        return self._score_conjunctive(post, terms, cand, k)
+        post, cand = conj
+        return _ranked(cand, self._score_docs(post, terms, cand), k)
 
     def synonym_topk(
         self, text: str, k: int, synonyms: dict[str, list[str]]
@@ -769,8 +836,7 @@ class QueryEngine:
         terms = set(self._tok.tokenize(text))
         for t in list(terms):
             terms.update(synonyms.get(t, ()))
-        runs_by_term = {t: r for t in sorted(terms) if (r := self.term_runs(t))}
-        return self._dispatch_topk(runs_by_term, k)
+        return self.terms_topk(sorted(terms), k)
 
     def search_after(
         self, text: str, k: int, after: tuple[float, int] | None
@@ -785,12 +851,9 @@ class QueryEngine:
         exact). SQL mirror: row_number window, rank in (cursor_rank,
         cursor_rank + k]."""
         terms = sorted(set(self._tok.tokenize(text)))
-        runs_by_term = {t: r for t in terms if (r := self.term_runs(t))}
-        if not runs_by_term or k <= 0:
-            return []
-        if after is None:
-            return self._dispatch_topk(runs_by_term, k)
-        hits = self._topk_exact(runs_by_term, 1 << 62)  # full sorted order
+        if after is None or k <= 0:
+            return self.terms_topk(terms, k)
+        hits = self._topk_exact(terms, 1 << 62)  # full sorted order
         s_a, d_a = float(after[0]), int(after[1])
         # anchor on the cursor DOC when it still matches: immune to the
         # cursor score having come from the WAND path, whose float sums
@@ -817,28 +880,17 @@ class QueryEngine:
         ordered (doc_id asc, term asc). SQL mirror: the per-term scorer
         CTE before its GROUP BY sum, joined to the ranked top-k."""
         terms = sorted(set(self._tok.tokenize(text)))
-        runs_by_term = {t: r for t in terms if (r := self.term_runs(t))}
-        hits = self._dispatch_topk(runs_by_term, k)
+        hits = self.terms_topk(terms, k)
         if not hits:
             return []
         docs = np.sort(np.array([d for d, _ in hits], dtype=np.int64))
-        out: list[tuple[int, str, float, int, float]] = []
-        for t in sorted(runs_by_term):
-            p = _PhrasePostings(runs_by_term[t], self.block_size)
-            sel = np.searchsorted(p.docs, docs)
-            inb = sel < p.docs.size
-            present = inb.copy()
-            present[inb] = p.docs[sel[inb]] == docs[inb]
-            if not present.any():
-                continue
-            df = int(p.docs.size)
-            idf = float(self.scorer.idf(df, self.n_docs))
-            tfs = p.tfs[sel[present]].astype(np.float64)
-            contrib = idf * self.scorer.tf_weight(
-                tfs, p.dls[sel[present]].astype(np.float64), self.avgdl
-            )
-            for d, tf, c in zip(docs[present], tfs, contrib):
-                out.append((int(d), t, float(tf), df, float(c)))
+        out = [
+            (d, t, tf, int(p.docs.size), c)
+            for t, p, present, s, contrib in self._contributions(
+                self._load(terms), terms, docs)
+            for d, tf, c in zip(docs[present].tolist(), p.tfs[s].tolist(),
+                                contrib.tolist())
+        ]
         out.sort(key=lambda r: (r[0], r[1]))
         return out
 
@@ -846,8 +898,8 @@ class QueryEngine:
         self, text: str, k: int, min_match: int
     ) -> list[tuple[int, float]]:
         """min_should_match retrieval: ordinary disjunctive BM25, but a
-        doc qualifies only if it contains at least ``min_match`` DISTINCT
-        query terms. min_match=1 is plain disjunctive top-k and
+        doc qualifies only if it contains at least ``min_match`` (>= 1)
+        DISTINCT query terms. min_match=1 is plain disjunctive top-k and
         min_match=len(distinct terms) is conjunctive AND, so this is the
         general dial between OR and AND recall. The restriction applies
         BEFORE truncation. Qualifying docs are found by counting each
@@ -855,6 +907,8 @@ class QueryEngine:
         adds each present term's contribution via a searchsorted
         membership probe. SQL mirror: the bag-of-words scorer plus
         HAVING count(DISTINCT matched term) >= min_match."""
+        if min_match < 1:
+            raise ValueError("min_match must be >= 1")
         return self._weighted_disjunctive(text, k, min_match=min_match)
 
     def boosted_topk(
@@ -881,11 +935,7 @@ class QueryEngine:
         if k <= 0:
             return []
         res = self._weighted_scores(text, min_match=min_match, boosts=boosts)
-        if res is None:
-            return []
-        matched, scores = res
-        order = scoring.topk_order(matched, scores, k)
-        return [(int(matched[i]), float(scores[i])) for i in order]
+        return [] if res is None else _ranked(*res, k)
 
     def score_all(self, text: str) -> tuple[np.ndarray, np.ndarray] | None:
         """Every matching doc's disjunctive BM25 score, as numpy arrays
@@ -903,13 +953,7 @@ class QueryEngine:
         boosts: dict[str, float] | None = None,
     ) -> tuple[np.ndarray, np.ndarray] | None:
         terms = sorted(set(self._tok.tokenize(text)))
-        if not terms or min_match < 1:
-            return None
-        post: dict[str, _PhrasePostings] = {}
-        for t in terms:
-            rows = self.term_runs(t)
-            if rows:
-                post[t] = _PhrasePostings(rows, self.block_size)
+        post = self._load(terms)
         if len(post) < min_match:
             return None
         all_docs = np.concatenate([p.docs for p in post.values()])
@@ -917,37 +961,13 @@ class QueryEngine:
         matched = docs_u[counts >= min_match]
         if matched.size == 0:
             return None
-        scores = np.zeros(len(matched), dtype=np.float64)
-        for t, p in post.items():
-            sel = np.searchsorted(p.docs, matched)
-            inb = sel < p.docs.size
-            present = inb.copy()
-            present[inb] = p.docs[sel[inb]] == matched[inb]
-            if not present.any():
-                continue
-            w = float((boosts or {}).get(t, 1.0))
-            idf = float(self.scorer.idf(int(p.docs.size), self.n_docs))
-            scores[present] += w * idf * self.scorer.tf_weight(
-                p.tfs[sel[present]].astype(np.float64),
-                p.dls[sel[present]].astype(np.float64),
-                self.avgdl,
-            )
-        return matched, scores
+        return matched, self._score_docs(post, terms, matched, boosts)
 
     def hit_count(self, text: str) -> int:
         """Exact number of docs matching ANY query term (the "about N
-        results" figure) — union of the terms' doc arrays, postings'
-        doc ids only (tfs/positions never decoded)."""
-        terms = sorted(set(self._tok.tokenize(text)))
-        docs: list[np.ndarray] = []
-        for t in terms:
-            for row in self.term_runs(t):
-                docs.append(decode_blocked_deltas(
-                    row["doc_ids"], int(row["df"]), self.block_size
-                ))
-        if not docs:
-            return 0
-        return int(np.unique(np.concatenate(docs)).size)
+        results" figure) — the size of the union of the terms' doc
+        arrays."""
+        return int(self._doc_union(set(self._tok.tokenize(text))).size)
 
     def not_topk(self, text: str, neg_text: str, k: int) -> list[tuple[int, float]]:
         """Boolean NOT: ordinary disjunctive BM25 over ``text``'s distinct
@@ -955,30 +975,13 @@ class QueryEngine:
         (SQL mirror: the bag-of-words scorer plus NOT EXISTS per negated
         term). Exclusion must happen before truncation, so this uses the
         decode-everything exact scorer and subtracts the union of the
-        negated terms' doc arrays (sorted-array membership — the negated
-        postings' doc ids only, positions/tfs never decoded)."""
+        negated terms' doc arrays (sorted-array membership)."""
         terms = sorted(set(self._tok.tokenize(text)))
-        runs_by_term = {t: r for t in terms if (r := self.term_runs(t))}
-        if not runs_by_term or k <= 0:
+        if k <= 0 or (res := self._exact_scores(terms)) is None:
             return []
-        hits = self._topk_exact(runs_by_term, 1 << 62)  # all candidates
-        neg_terms = sorted(set(self._tok.tokenize(neg_text)))
-        neg_docs: list[np.ndarray] = []
-        for t in neg_terms:
-            for row in self.term_runs(t):
-                neg_docs.append(
-                    decode_blocked_deltas(
-                        row["doc_ids"], int(row["df"]), self.block_size
-                    )
-                )
-        docs = np.fromiter((d for d, _ in hits), dtype=np.int64, count=len(hits))
-        scores = np.fromiter((s for _, s in hits), dtype=np.float64, count=len(hits))
-        if neg_docs:
-            excl = np.unique(np.concatenate(neg_docs))
-            keep = ~np.isin(docs, excl)
-            docs, scores = docs[keep], scores[keep]
-        order = scoring.topk_order(docs, scores, k)
-        return [(int(docs[i]), float(scores[i])) for i in order]
+        docs, scores = res
+        keep = ~np.isin(docs, self._doc_union(self._tok.tokenize(neg_text)))
+        return _ranked(docs[keep], scores[keep], k)
 
     def bool_topk(self, expr: str, k: int) -> list[tuple[int, float]]:
         """Nested boolean retrieval (a Lucene-style query DSL). Pinned
@@ -1046,26 +1049,21 @@ class QueryEngine:
         except ValueError:
             return []
 
-        # one postings load per distinct term (positive or negative)
-        post: dict[str, _PhrasePostings | None] = {}
+        # one postings entry per distinct term (positive or negative)
+        atom_terms: list[str] = []
         pos_terms: set[str] = set()
 
         def _walk(node, parity: int) -> None:
             if node[0] == "atom":
-                for t in node[1]:
-                    if t not in post:
-                        rows = self.term_runs(t)
-                        post[t] = (
-                            _PhrasePostings(rows, self.block_size)
-                            if rows else None
-                        )
-                    if parity == 0:
-                        pos_terms.add(t)
+                atom_terms.extend(node[1])
+                if parity == 0:
+                    pos_terms.update(node[1])
                 return
             _walk(node[1], parity)
             _walk(node[2], parity ^ (node[0] == "not"))
 
         _walk(tree, 0)
+        post = self._load(atom_terms)
         empty = np.empty(0, dtype=np.int64)
 
         def _eval(node) -> np.ndarray:
@@ -1074,7 +1072,7 @@ class QueryEngine:
                     return empty
                 out: np.ndarray | None = None
                 for t in node[1]:
-                    p = post[t]
+                    p = post.get(t)
                     if p is None:
                         return empty
                     out = p.docs if out is None else np.intersect1d(
@@ -1090,172 +1088,36 @@ class QueryEngine:
         matched = _eval(tree)
         if matched.size == 0:
             return []
-        scores = np.zeros(matched.size, dtype=np.float64)
-        for t in sorted(pos_terms):
-            p = post[t]
-            if p is None:
-                continue
-            sel = np.searchsorted(p.docs, matched)
-            inb = sel < p.docs.size
-            present = inb.copy()
-            present[inb] = p.docs[sel[inb]] == matched[inb]
-            if not present.any():
-                continue
-            idf = float(self.scorer.idf(int(p.docs.size), self.n_docs))
-            scores[present] += idf * self.scorer.tf_weight(
-                p.tfs[sel[present]].astype(np.float64),
-                p.dls[sel[present]].astype(np.float64),
-                self.avgdl,
-            )
-        order = scoring.topk_order(matched, scores, k)
-        return [(int(matched[i]), float(scores[i])) for i in order]
-
-    def _score_conjunctive(
-        self,
-        post: dict[str, _PhrasePostings],
-        terms: list[str],
-        matched: np.ndarray,
-        k: int,
-    ) -> list[tuple[int, float]]:
-        """Ordinary summed BM25 over ``terms`` for docs known to contain
-        every term (tf/dl read from the already-decoded positional
-        postings; per-term idf from the global df)."""
-        scores = np.zeros(len(matched), dtype=np.float64)
-        for t in terms:
-            p = post[t]
-            sel = np.searchsorted(p.docs, matched)
-            idf = float(self.scorer.idf(int(p.docs.size), self.n_docs))
-            scores += idf * self.scorer.tf_weight(
-                p.tfs[sel].astype(np.float64),
-                p.dls[sel].astype(np.float64),
-                self.avgdl,
-            )
-        order = scoring.topk_order(matched, scores, k)
-        return [(int(matched[i]), float(scores[i])) for i in order]
+        return _ranked(
+            matched, self._score_docs(post, sorted(pos_terms), matched), k)
 
     # ---- exact: decode-everything vectorized scoring ----
-    def _decoded_run(self, row: dict) -> tuple:
-        """(ids, w) for one posting run, LRU-cached by buffer content
-        (values-budgeted — see __init__). ``w`` is the query-INDEPENDENT
-        BM25 tf-weight array (tf, dl, avgdl are all run/engine
-        constants; idf is applied per query as a scalar): caching it —
-        and NOT the raw tf/dl arrays, which nothing downstream reads —
-        turns per-query scoring of a cached run into one multiply pass
-        instead of re-walking tf+dl, and doubles the entries the budget
-        holds. At 32 actors per node the tf-weight recompute was the
-        dominant memory-bandwidth consumer of the serving sweep."""
-        # ALL THREE buffers key the entry: across federated members the
-        # same (ids, tfs) bytes could pair with different dls (doc_id is
-        # key-derived, content isn't), and a 2-buffer key would alias
-        key = (row["doc_ids"], row["tfs"], row["dls"])
-        hit = self._decoded_cache.get(key)
-        if hit is not None:
-            self._decoded_cache.move_to_end(key)
-            return hit
-        n = int(row["df"])
-        ids = decode_blocked_deltas(row["doc_ids"], n, self.block_size)
-        tfs = varbyte_decode(row["tfs"]).astype(np.float64)
-        dls = varbyte_decode(row["dls"]).astype(np.float64)
-        w = self.scorer.tf_weight(tfs, dls, self.avgdl)
-        val = (ids, w)
-        self._decoded_cache[key] = val
-        self._decoded_values += 2 * n
-        while self._decoded_values > self._decoded_budget and self._decoded_cache:
-            _, old = self._decoded_cache.popitem(last=False)
-            self._decoded_values -= 2 * len(old[0])
-        return val
+    def _exact_scores(
+        self, terms: list[str]
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """(docs ascending, summed BM25) over ``terms``' entries. A doc
+        appears once per term (runs are disjoint, merged in the entry);
+        ACROSS terms, accumulate by O(n) sorted merge: contributions add
+        in the same term order bincount would use, so the float64 sums
+        are bit-identical to the unique+bincount reference
+        (oracle-pinned)."""
+        post = [p for p in self._load(terms).values() if p.docs.size]
+        if not post:
+            return None
+        return scoring.merge_scored_runs([p.docs for p in post],
+                                         [p.scores for p in post])
 
-    _TOPDOCS_K = 256    # cached ranked depth per single-term entry
-    _TOPDOCS_BUDGET = 16 << 20  # bytes, keys (pinned buffers) included
-
-    def _topk_exact(self, runs_by_term: dict[str, list[dict]], k: int) -> list[tuple[int, float]]:
-        # a cached entry holds min(_TOPDOCS_K, term df) ranked rows, so
-        # with k <= _TOPDOCS_K a hit always answers (k > len only when
-        # len == df, i.e. the whole term is cached)
-        single = len(runs_by_term) == 1 and k <= self._TOPDOCS_K
-        if single:
-            tdkey = tuple((r["doc_ids"], r["tfs"], r["dls"])
-                          for r in next(iter(runs_by_term.values())))
-            hit = self._topdocs_cache.get(tdkey)
-            if hit is not None:
-                self._topdocs_cache.move_to_end(tdkey)
-                ids_c, sc_c = hit
-                m = min(k, len(ids_c))
-                return [(int(ids_c[i]), float(sc_c[i]))
-                        for i in range(m)]
-        # Per TERM, a doc appears in exactly one run (salted runs split
-        # one index's postings; federated members hold disjoint docs),
-        # so a term's merged posting list needs no summation — order
-        # runs by first doc_id and concatenate (already globally sorted
-        # for range-salted runs; one argsort repairs the interleaved
-        # federated case). ACROSS terms, accumulate by O(n) sorted
-        # merge: contributions add in the same term order bincount
-        # would use, so the float64 sums are bit-identical to the old
-        # unique+bincount path (oracle-pinned).
-        per_ids: list[np.ndarray] = []
-        per_scores: list[np.ndarray] = []
-        for term, rows in runs_by_term.items():
-            tkey = tuple((r["doc_ids"], r["tfs"], r["dls"]) for r in rows)
-            hit = self._term_cache.get(tkey)
-            if hit is not None:
-                self._term_cache.move_to_end(tkey)
-                per_ids.append(hit[0])
-                per_scores.append(hit[1])
-                continue
-            df = sum(int(r["df"]) for r in rows)
-            w_idf = float(self.scorer.idf(df, self.n_docs))
-            t_ids: list[np.ndarray] = []
-            t_sc: list[np.ndarray] = []
-            for row in rows:
-                ids, w = self._decoded_run(row)
-                if len(ids):
-                    t_ids.append(ids)
-                    t_sc.append(w_idf * w)
-            if not t_ids:
-                continue
-            if len(t_ids) == 1:
-                ti, ts = t_ids[0], t_sc[0]
-            else:
-                order = sorted(range(len(t_ids)),
-                               key=lambda i: int(t_ids[i][0]))
-                ti = np.concatenate([t_ids[i] for i in order])
-                ts = np.concatenate([t_sc[i] for i in order])
-                if not np.all(ti[1:] > ti[:-1]):
-                    o2 = np.argsort(ti, kind="stable")
-                    ti, ts = ti[o2], ts[o2]
-            self._term_cache[tkey] = (ti, ts)
-            self._term_values += 2 * len(ti)
-            while self._term_values > self._term_budget and self._term_cache:
-                _, old = self._term_cache.popitem(last=False)
-                self._term_values -= 2 * len(old[0])
-            per_ids.append(ti)
-            per_scores.append(ts)
-        if not per_ids:
-            return []
-        # cached arrays are shared across queries: merge_scored_runs
-        # copies before mutating and adds in the bincount order
-        uniq, sums = scoring.merge_scored_runs(per_ids, per_scores)
-        if single:
-            # fill the top-docs entry at cache depth (one extra
-            # argpartition now, O(k) forever after for this term);
-            # budget counts the VALUE arrays plus the raw key buffers
-            # the entry pins — the keys dominate for mid-df terms
-            deep = scoring.topk_order(uniq, sums, self._TOPDOCS_K)
-            entry = (uniq[deep].copy(), sums[deep].copy())
-            self._topdocs_cache[tdkey] = entry
-            self._topdocs_bytes += self._topdocs_entry_bytes(tdkey, entry)
-            while (self._topdocs_bytes > self._TOPDOCS_BUDGET
-                   and self._topdocs_cache):
-                okey, oval = self._topdocs_cache.popitem(last=False)
-                self._topdocs_bytes -= self._topdocs_entry_bytes(okey, oval)
-            return [(int(uniq[i]), float(sums[i])) for i in deep[:k]]
-        order = scoring.topk_order(uniq, sums, k)
-        return [(int(uniq[i]), float(sums[i])) for i in order]
-
-    @staticmethod
-    def _topdocs_entry_bytes(key: tuple, val: tuple) -> int:
-        return (sum(len(b) for run in key for b in run)
-                + val[0].nbytes + val[1].nbytes)
+    def _topk_exact(self, terms: list[str], k: int) -> list[tuple[int, float]]:
+        if len(terms) == 1 and k <= _TOPDOCS_K:
+            # a single term's ranking is query-independent: its entry's
+            # ``top`` answers in O(k) (k > len only when len == df)
+            p = self.postings(terms[0])
+            if p is None:
+                return []
+            docs, scores = p.top()
+            return list(zip(docs[:k].tolist(), scores[:k].tolist()))
+        res = self._exact_scores(terms)
+        return [] if res is None else _ranked(*res, k)
 
     # ---- block-max WAND with lazy block decode ----
     def _topk_wand(self, runs_by_term: dict[str, list[dict]], k: int) -> list[tuple[int, float]]:

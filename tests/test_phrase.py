@@ -20,7 +20,7 @@ from donkey_ray.functions.scoring import BM25Scorer
 from donkey_ray.pipelines.build import build_index
 from donkey_ray.stages.encode import encode_partition_table
 from donkey_ray.stages.extract import PostingsExtractor
-from donkey_ray.stages.score import QueryEngine, _PhrasePostings
+from donkey_ray.stages.score import QueryEngine, _TermPostings
 
 
 def _corpus(texts: list[str]) -> pa.Table:
@@ -119,7 +119,7 @@ def built_pos(ray_session, tmp_path_factory):
 
 
 def test_positions_roundtrip_no_shuffle():
-    """Extractor cells -> segment encode -> _PhrasePostings decode must
+    """Extractor cells -> segment encode -> _TermPostings decode must
     reproduce every token position (pure kernel path, no Ray)."""
     texts = ["b a c a b a", "a a a a", "c b a"]
     ex = PostingsExtractor(1, id_col="doc_id", positions=True)
@@ -129,7 +129,7 @@ def test_positions_roundtrip_no_shuffle():
     assert "poss" in seg.column_names and "block_pos_boff" in seg.column_names
     terms = seg.column("term").to_pylist()
     row = {n: seg.column(n)[terms.index("a")].as_py() for n in seg.column_names}
-    pp = _PhrasePostings([row], schemas.BLOCK_SIZE)
+    pp = _TermPostings([row], schemas.BLOCK_SIZE, BM25Scorer(), len(texts), 1.0)
     docs_rep, pos = pp.positions_for(np.arange(len(pp.docs)))
     got = {}
     for d, p in zip(docs_rep.tolist(), pos.tolist()):
@@ -412,3 +412,44 @@ def test_sloppy_topk_pinned_spec(built_pos):
     hits = srv.search("alpha beta", 5, kind="sloppy", window=2)
     assert [(h["doc_id"], h["score"]) for h in hits] == \
         pytest.approx(eng.sloppy_topk("alpha beta", 5, slop=2))
+
+
+def test_out_of_range_window_and_min_match_rejected(built_pos, tmp_path):
+    """near_topk window < 1 and msm_topk min_match < 1 raise ValueError
+    (one-term queries included) instead of answering [], and the HTTP
+    frontend maps them to 400."""
+    import json
+    import shutil
+    import urllib.error
+    import urllib.request
+
+    from donkey_ray.httpserve import start_http_frontend
+    from donkey_ray.serve import IndexServer
+
+    _, _, out, _ = built_pos
+    eng = QueryEngine(out)
+    for query in ("alpha beta", "alpha"):
+        for window in (0, -3):
+            with pytest.raises(ValueError, match="window"):
+                eng.near_topk(query, 10, window=window)
+    with pytest.raises(ValueError, match="min_match"):
+        eng.msm_topk("alpha beta", 10, 0)
+    assert eng.near_topk("alpha beta", 10, window=2)
+    assert eng.msm_topk("alpha beta", 10, 1) == eng.topk("alpha beta", 10)
+
+    wdir = str(tmp_path / "idx")
+    shutil.copytree(out, wdir)
+    srv, port = start_http_frontend(primary=IndexServer(wdir))
+    try:
+        for body in ({"kind": "near", "window": 0},
+                     {"kind": "msm", "min_match": 0}):
+            req = urllib.request.Request(
+                f"http://127.0.0.1:{port}/search", method="POST",
+                data=json.dumps({"text": "alpha beta", "k": 5,
+                                 **body}).encode(),
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as ex:
+                urllib.request.urlopen(req, timeout=30)
+            assert ex.value.code == 400, body
+    finally:
+        srv.shutdown()
