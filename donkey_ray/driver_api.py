@@ -16,6 +16,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from . import schemas
 from .pipelines import analyze, dedup
 from .pipelines.ann import brute_force_topk, embedding_neardup_pairs
 from .pipelines.build import build_index
@@ -85,23 +86,31 @@ def _index_dir(sf_dir: str) -> str:
     return os.path.join(CACHE_ROOT, f"idx-{key}")
 
 
-CURRENT_FORMAT_VERSION = 3
+def _drop_stale_index(out: str, **want) -> None:
+    """Remove a cached complete index whose meta is from another format
+    version or disagrees with any ``want`` key — rebuilt, not trusted —
+    and one whose meta cannot be read."""
+    import shutil
+
+    from .state import manifest as mf
+
+    if not mf.is_complete(out):
+        return
+    try:
+        meta = mf.load_meta(out)
+    except (OSError, ValueError):
+        shutil.rmtree(out, ignore_errors=True)
+        return
+    want["format_version"] = schemas.FORMAT_VERSION
+    if any(meta.get(k) != v for k, v in want.items()):
+        shutil.rmtree(out)
 
 
 def ensure_index(sf_dir: str) -> str:
     """Build (once; resumable) the BM25 index over the documents corpus.
     A cached index from an older segment format is rebuilt, not trusted."""
-    import shutil
-
-    from .state import manifest as mf
-
     out = _index_dir(sf_dir)
-    if mf.is_complete(out):
-        try:
-            if mf.load_meta(out).get("format_version") != CURRENT_FORMAT_VERSION:
-                shutil.rmtree(out)
-        except (OSError, ValueError):
-            shutil.rmtree(out, ignore_errors=True)
+    _drop_stale_index(out)
     build_index(
         documents_as_corpus(sf_dir),
         out,
@@ -118,19 +127,8 @@ def ensure_positional_index(sf_dir: str) -> str:
     routing as ensure_index, plus per-posting token positions for phrase
     queries. Kept as a separate artifact: positions cost extra bytes, so
     non-phrase serving keeps using the plain index."""
-    import shutil
-
-    from .state import manifest as mf
-
     out = _index_dir(sf_dir) + "-pos"
-    if mf.is_complete(out):
-        try:
-            meta = mf.load_meta(out)
-            if (meta.get("format_version") != CURRENT_FORMAT_VERSION
-                    or not meta.get("positions")):
-                shutil.rmtree(out)
-        except (OSError, ValueError):
-            shutil.rmtree(out, ignore_errors=True)
+    _drop_stale_index(out, positions=True)
     build_index(
         documents_as_corpus(sf_dir),
         out,
@@ -195,20 +193,8 @@ def _ensure_analyzer_index(sf_dir: str, analyzer: str) -> str:
     One helper for every analyzer artifact so the cache-staleness checks
     can't drift between them; a cached index failing ANY of the checks
     (format, query_lang, analyzer_lang) is rebuilt, not trusted."""
-    import shutil
-
-    from .state import manifest as mf
-
     out = _index_dir(sf_dir) + "-" + analyzer
-    if mf.is_complete(out):
-        try:
-            meta = mf.load_meta(out)
-            if (meta.get("format_version") != CURRENT_FORMAT_VERSION
-                    or meta.get("query_lang") != analyzer
-                    or meta.get("analyzer_lang") != analyzer):
-                shutil.rmtree(out)
-        except (OSError, ValueError):
-            shutil.rmtree(out, ignore_errors=True)
+    _drop_stale_index(out, query_lang=analyzer, analyzer_lang=analyzer)
     build_index(
         documents_as_corpus(sf_dir),
         out,
@@ -408,12 +394,9 @@ def ensure_per_lang_indexes(sf_dir: str) -> "dict[str, str]":
     here is a driver-side distinct over one dictionary-encoded column
     (bounded: lang cardinality, not corpus size); at 100 TB the same
     distinct runs as a Ray aggregate feeding the same per-lang builds."""
-    import shutil
-
     import pyarrow.parquet as _pq
 
     from .sources.corpus import documents_as_corpus
-    from .state import manifest as mf
 
     # columnar distinct: only n_langs values ever become Python objects
     langs = sorted(pc.unique(
@@ -422,14 +405,7 @@ def ensure_per_lang_indexes(sf_dir: str) -> "dict[str, str]":
     out = {}
     for lg in langs:
         d = _index_dir(sf_dir) + f"_lang_{lg}"
-        if mf.is_complete(d):
-            # same stale-format rebuild guard as every other ensure_*
-            try:
-                if mf.load_meta(d).get(
-                        "format_version") != CURRENT_FORMAT_VERSION:
-                    shutil.rmtree(d)
-            except (OSError, ValueError):
-                shutil.rmtree(d, ignore_errors=True)
+        _drop_stale_index(d)
         build_index(
             documents_as_corpus(sf_dir, lang=lg),
             d,

@@ -1,4 +1,5 @@
-"""Deterministic hashing: doc ids, content digests, partition routing.
+"""Deterministic hashing: doc ids, content digests, term -> partition
+routing.
 
 All hashes are process-independent (no Python hash()) so that retries,
 resumes and different cluster sizes produce identical results
@@ -7,6 +8,7 @@ resumes and different cluster sizes produce identical results
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -36,31 +38,79 @@ def sha256_hex_column(col: pa.Array) -> pa.Array:
     )
 
 
-def stable_term_hash(term: str) -> int:
-    """64-bit stable hash for term -> partition routing (blake2b)."""
+def doc_ids_for_batch(batch: pa.Table, id_col: str | None) -> np.ndarray:
+    """Per-row int64 doc_id of a corpus batch: its ``id_col`` column when
+    the batch has one, else ``doc_id_from_key`` of each row's
+    (repo, path, commit)."""
+    if id_col and id_col in batch.column_names:
+        return batch.column(id_col).to_numpy(
+            zero_copy_only=False).astype(np.int64)
+    return np.fromiter(
+        map(doc_id_from_key, batch.column("repo").to_pylist(),
+            batch.column("path").to_pylist(),
+            batch.column("commit").to_pylist()),
+        dtype=np.int64, count=batch.num_rows)
+
+
+# ---- term -> partition routing (SURVEY.md B12/B17/B18): the ONE rule
+# of every index writer (build, merge, prune) and of the query engine.
+# A term lives in its home partition blake2b(term) % P; a hot term's
+# postings are salted by the TOP ``salt_bits`` bits s of doc_id into
+# blake2b(term#s) % P, so each salted run covers a contiguous doc range.
+
+
+def _route(key: bytes, num_partitions: int) -> int:
     return int.from_bytes(
-        hashlib.blake2b(term.encode(), digest_size=8).digest(), "big"
-    )
+        hashlib.blake2b(key, digest_size=8).digest(), "big") % num_partitions
 
 
+@functools.lru_cache(maxsize=1 << 21)
 def term_partition(term: str, num_partitions: int) -> int:
-    return stable_term_hash(term) % num_partitions
+    """A term's home partition; cached per process (build throughput
+    depends on it)."""
+    return _route(term.encode(), num_partitions)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def salt_table(term: str, num_partitions: int, salt_bits: int) -> np.ndarray:
+    """A hot term's partition per salt s = doc_id >> (63 - salt_bits)."""
+    table = np.array([_route(term.encode() + b"#" + s.to_bytes(8, "big"),
+                             num_partitions)
+                      for s in range(1 << salt_bits)], dtype=np.int32)
+    table.flags.writeable = False
+    return table
 
 
 def salted_parts(term: str, num_partitions: int, salt_bits: int) -> list[int]:
-    """Every partition a hot term's salted runs can land in (the query-side
-    inverse of the extractor's salt routing table) — sorted, deduplicated."""
-    parts = set()
-    for salt in range(1 << salt_bits):
-        parts.add(
-            int.from_bytes(
-                hashlib.blake2b(
-                    term.encode() + b"#" + salt.to_bytes(8, "big"), digest_size=8
-                ).digest(),
-                "big",
-            ) % num_partitions
-        )
-    return sorted(parts)
+    """Every partition a hot term's salted runs can land in — sorted,
+    deduplicated."""
+    return sorted(set(salt_table(term, num_partitions, salt_bits).tolist()))
+
+
+def candidate_parts(term: str, num_partitions: int, hot_terms,
+                    salt_bits: int) -> list[int]:
+    """The partitions that can hold ``term`` in an index written with
+    this hot set — the read-side inverse of ``partition_column``."""
+    if term in hot_terms:
+        return salted_parts(term, num_partitions, salt_bits)
+    return [term_partition(term, num_partitions)]
+
+
+def partition_column(terms: np.ndarray, doc_ids: np.ndarray,
+                     num_partitions: int, hot_terms=frozenset(),
+                     salt_bits: int = 4) -> np.ndarray:
+    """The int32 ``part`` of each (term, doc_id) posting row, routed per
+    unique term; ``hot_terms`` is a set."""
+    uniq, inv = np.unique(terms, return_inverse=True)
+    part = np.fromiter((term_partition(t, num_partitions) for t in uniq),
+                       dtype=np.int32, count=len(uniq))[inv]
+    if hot_terms:
+        salts = np.asarray(doc_ids, dtype=np.int64) >> (63 - salt_bits)
+        for j, t in enumerate(uniq):
+            if t in hot_terms:
+                m = inv == j
+                part[m] = salt_table(t, num_partitions, salt_bits)[salts[m]]
+    return part
 
 
 def splitmix64(values: np.ndarray) -> np.ndarray:

@@ -5,7 +5,10 @@ groupby('part').map_groups(SegmentWriter) -> manifest + stats, with:
   - one corpus scan: the extract map also writes each batch's docs rows
     (the per-row sha256(content) invariant, doc_len for per-lang stats),
   - deterministic-sample hot-term (df) detection + salted routing (B18),
-  - per-partition lineage manifest; resume skips validated partitions (B5).
+  - per-partition lineage manifest; resume skips validated partitions (B5),
+  - one writer, ``write_index``: segments, meta and ``_SUCCESS`` for the
+    build, compaction (``incremental.merge_indexes``) and pruning
+    (``prune.prune_index``) alike.
 
 Everything streams: no materialize() of the exploded postings; the only
 all-to-all exchange is the single groupby('part') shuffle whose key is the
@@ -29,7 +32,9 @@ import pyarrow.dataset as pads
 import ray
 import ray.data
 
-from ..functions.hashing import deterministic_sample_mask
+from .. import schemas
+from ..functions.hashing import (deterministic_sample_mask, doc_ids_for_batch,
+                                partition_column)
 from ..sources.corpus import read_corpus
 from ..stages.encode import SegmentWriter
 from ..stages.extract import PostingsExtractor, extract_postings
@@ -63,10 +68,6 @@ def auto_partition_count(est_total_tokens: int) -> int:
 
 def _docs_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "docs")
-
-
-def _count_docs(out_dir: str) -> int:
-    return pads.dataset(_docs_dir(out_dir)).count_rows()
 
 
 def compute_lang_stats(out_dir: str) -> dict:
@@ -141,11 +142,9 @@ def detect_hot_terms(
         filter only prunes the cold tail. The hot set is a routing
         heuristic — correctness never depends on it (runs are merged at
         query time)."""
-        from ..stages.extract import _doc_ids_for_batch
-
         empty = pa.table({"term": pa.array([], pa.string()),
                           "df_part": pa.array([], pa.int64())})
-        ids = _doc_ids_for_batch(batch, id_col)
+        ids = doc_ids_for_batch(batch, id_col)
         mask = deterministic_sample_mask(ids, sample_mod)
         n_sampled = int(mask.sum())
         if n_sampled == 0:
@@ -306,8 +305,6 @@ def build_index(
 
     # ---- the one corpus scan: postings + docs rows, partition shuffle,
     # segment encode ----
-    done = mf.validated_done_parts(out_dir, num_partitions)
-    skipped = sorted(done)
     # task pool (not actors): extract_postings caches the configured
     # extractor per worker process, giving actor-like state amortization
     # without actor-pool startup latency
@@ -326,6 +323,82 @@ def build_index(
         zero_copy_batch=True,
         batch_size=batch_size,
     )
+    return write_index(
+        postings, out_dir, num_partitions=num_partitions,
+        hot_terms=hot_terms, salt_bits=salt_bits, query_lang=query_lang,
+        analyzer_lang=analyzer_lang, id_col=id_col, positions=positions,
+        done=mf.validated_done_parts(out_dir, num_partitions),
+        t_start=t_start)
+
+
+def route_postings(postings: ray.data.Dataset, num_partitions: int,
+                   hot_terms=(), salt_bits: int = 4) -> ray.data.Dataset:
+    """Add the ``part`` column (``functions.hashing.partition_column``)
+    to decoded posting rows (term, doc_id, ...) — merge and prune route
+    by the build's rule."""
+    hot = frozenset(hot_terms)
+
+    def add_part(batch: pa.Table) -> pa.Table:
+        return batch.append_column("part", pa.array(partition_column(
+            batch.column("term").to_numpy(zero_copy_only=False),
+            batch.column("doc_id").to_numpy(zero_copy_only=False),
+            num_partitions, hot, salt_bits), pa.int32()))
+
+    return postings.map_batches(add_part, batch_format="pyarrow",
+                                zero_copy_batch=True)
+
+
+def copy_docs(src_dirs: list[str], out_dir: str, row_filter=None) -> bool:
+    """Rewrite ``out_dir/docs`` from the source indexes' docs tables,
+    through ``row_filter`` (the postings' keep rule) when given. Always
+    cleared first, like the build's: write_parquet APPENDS uuid-named
+    files, so a rerun over a crashed run's leftovers would double every
+    docs row. False when no source has a docs table."""
+    import glob
+
+    paths = [f for d in src_dirs
+             for f in sorted(glob.glob(os.path.join(_docs_dir(d),
+                                                    "*.parquet")))]
+    shutil.rmtree(_docs_dir(out_dir), ignore_errors=True)
+    if not paths:
+        return False
+    docs = ray.data.read_parquet(paths)
+    if row_filter is not None:
+        docs = docs.map_batches(row_filter, batch_format="pyarrow",
+                                zero_copy_batch=True)
+    docs.write_parquet(_docs_dir(out_dir))
+    return True
+
+
+def write_index(
+    postings: ray.data.Dataset,
+    out_dir: str,
+    *,
+    num_partitions: int,
+    hot_terms: list[str],
+    salt_bits: int,
+    query_lang: str | None,
+    analyzer_lang: str | None,
+    id_col: str | None,
+    positions: bool,
+    writer=None,
+    done: dict[int, dict] | None = None,
+    stats: tuple[int, int] | None = None,
+    t_start: float | None = None,
+    **provenance,
+) -> dict:
+    """The one index writer (build, merge, prune): routed posting rows
+    (with a ``part`` column) -> ``groupby("part").map_groups(writer)``
+    segments -> meta -> ``_SUCCESS``. Returns the meta.
+
+    ``writer`` defaults to ``SegmentWriter``; ``done`` holds the
+    validated manifest entries of partitions a resumed build already
+    wrote (their rows are dropped before the shuffle). The meta's
+    ``(n_docs, total_len)`` are ``stats`` when given, else the ``docs/``
+    row count and the partitions' Σ sum_tf (Σ tf over a doc's postings
+    is its dl). ``t_start`` records ``build_wall_s``; ``provenance`` is
+    the caller's own fields."""
+    done = done or {}
     if done:
         done_arr = np.array(sorted(done), dtype=np.int32)
 
@@ -338,37 +411,37 @@ def build_index(
         postings = postings.map_batches(
             drop_done, batch_format="pyarrow", zero_copy_batch=True
         )
+    os.makedirs(out_dir, exist_ok=True)
     manifest_rows = postings.groupby("part").map_groups(
-        SegmentWriter(out_dir), batch_format="pyarrow"
+        writer or SegmentWriter(out_dir), batch_format="pyarrow"
     )
-    new_entries = {int(r["part"]): r for r in manifest_rows.take_all()}
-    n_docs = _count_docs(out_dir)
-
-    # ---- stats + meta ----
-    all_entries = {**done, **new_entries}
-    total_len = int(sum(e["sum_tf"] for e in all_entries.values()))
-    n_postings = int(sum(e["n_postings"] for e in all_entries.values()))
-    from .. import schemas
-
+    entries = {**done,
+               **{int(r["part"]): r for r in manifest_rows.take_all()}}
+    if stats is None:
+        stats = (pads.dataset(_docs_dir(out_dir)).count_rows(),
+                 sum(e["sum_tf"] for e in entries.values()))
+    n_docs, total_len = int(stats[0]), int(stats[1])
     meta = {
-        "format_version": 3,
+        "format_version": schemas.FORMAT_VERSION,
         "block_size": schemas.BLOCK_SIZE,
-        "n_docs": int(n_docs),
+        "n_docs": n_docs,
         "total_len": total_len,
-        "n_postings": n_postings,
+        "n_postings": int(sum(e["n_postings"] for e in entries.values())),
         "avgdl": (total_len / n_docs) if n_docs else 0.0,
         "lang_stats": compute_lang_stats(out_dir),
         "num_partitions": num_partitions,
-        "parts_built": sorted(int(p) for p in all_entries),
-        "parts_skipped_on_resume": skipped,
+        "parts_built": sorted(int(p) for p in entries),
+        "parts_skipped_on_resume": sorted(done),
         "salt_bits": salt_bits,
-        "hot_terms": hot_terms,
+        "hot_terms": list(hot_terms),
         "query_lang": query_lang or "simple",
         "analyzer_lang": analyzer_lang,
         "id_col": id_col,
         "positions": bool(positions),
-        "build_wall_s": round(time.monotonic() - t_start, 3),
+        **provenance,
     }
+    if t_start is not None:
+        meta["build_wall_s"] = round(time.monotonic() - t_start, 3)
     mf.write_meta(out_dir, meta)
     mf.mark_complete(out_dir)
     return meta

@@ -13,8 +13,10 @@ docs would double-count their postings. Two consumption paths:
    per-term df are summed. This is exact BM25 over the union corpus.
 
 2. COMPACTION (``merge_indexes``): decode every segment back to posting
-   rows and push them through the standard partition+encode shuffle —
-   one all-to-all over the union, producing a single fresh index.
+   rows, route them by the build's rule (hot terms salted under the
+   members' union hot set) and hand them to the build's writer
+   (``build.write_index``) — one all-to-all over the union, producing a
+   single fresh index.
 """
 
 from __future__ import annotations
@@ -124,22 +126,25 @@ def merge_indexes(
 ) -> dict:
     """Compact several indexes into one fresh index at out_dir.
 
+    Posting rows are routed by the build's rule
+    (``functions.hashing.partition_column``) under the union of the
+    members' hot sets, which the merged meta records: a hot term stays
+    salted across ``num_partitions``, in exactly the partitions the
+    query engine reads for it.
+
     ``exclude_doc_ids`` drops those docs' postings and docs-table rows
     during the re-encode (tombstone resolution — serve.IndexServer's
     delete path). ``keep_shard=(s, K)`` keeps ONLY docs with
     doc_id % K == s — the reshard primitive (serve.reshard): the same
     modulo routing rule ShardedWriter uses, applied at the postings
     level, so K calls produce a disjoint exact cover of the input.
-    Global stats are recomputed exactly when any filter is active:
-    total_len from the surviving partitions' sum_tf (Σ tf over a doc's
-    postings = its dl, so Σ tf over all surviving postings = surviving
-    total_len) and n_docs from the filtered docs table's row count — no
-    extra shuffle."""
+    Without a filter the global stats are the members' sums; with one
+    they are recomputed by ``build.write_index`` from the filtered docs
+    table and the surviving postings — no extra shuffle."""
     import numpy as np
     import pyarrow.compute as pc
 
-    from ..functions.hashing import stable_term_hash
-    from ..stages.encode import SegmentWriter
+    from .build import copy_docs, route_postings, write_index
 
     metas = [mf.load_meta(d) for d in index_dirs]
     positional = {bool(m.get("positions")) for m in metas}
@@ -148,7 +153,6 @@ def merge_indexes(
             "cannot merge positional and non-positional indexes: "
             "the merged index would silently lose phrase/proximity support"
         )
-    positional = positional.pop()
     # the analyzer is part of the segment CONTENT (index-side terms were
     # produced by it): merging mixed analyzers would interleave stemmed
     # and unstemmed postings, and dropping the field would make later
@@ -158,7 +162,6 @@ def merge_indexes(
         raise ValueError(
             f"cannot merge indexes built under different analyzers: "
             f"{sorted(map(str, analyzers))}")
-    analyzer_lang = analyzers.pop()
     union = None
     for d in index_dirs:
         part = segments_as_postings(d)
@@ -188,92 +191,30 @@ def merge_indexes(
             row_filter, batch_format="pyarrow", zero_copy_batch=True
         )
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        terms = batch.column("term").to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(terms, return_inverse=True)
-        base = np.fromiter(
-            (stable_term_hash(str(t)) % num_partitions for t in uniq),
-            dtype=np.int32, count=len(uniq),
+    # docs tables travel along (hydration joins keep working), through
+    # the SAME keep rule as the postings, so docs and postings align
+    wrote_docs = copy_docs(index_dirs, out_dir, row_filter)
+    if row_filter is not None and not wrote_docs:
+        raise ValueError(
+            "exclude_doc_ids / keep_shard requires docs tables to "
+            "recompute n_docs"
         )
-        return batch.append_column("part", pa.array(base[inv], pa.int32()))
-
-    os.makedirs(out_dir, exist_ok=True)
-    manifest_rows = (
-        union.map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(SegmentWriter(out_dir), batch_format="pyarrow")
-    )
-    entries = {int(r["part"]): r for r in manifest_rows.take_all()}
-
-    # docs tables travel along (hydration joins keep working); with
-    # excludes, tombstoned docs are filtered out here too
-    import glob as _glob
-
-    docs_paths = [
-        f
-        for d in index_dirs
-        for f in sorted(_glob.glob(os.path.join(d, "docs", "*.parquet")))
-    ]
-    wrote_docs = False
-    if docs_paths:
-        docs_ds = ray.data.read_parquet(docs_paths)
-        if row_filter is not None:
-            # the SAME keep rule as the postings pass (tombstones and/or
-            # the reshard modulo), so docs and postings stay aligned
-            docs_ds = docs_ds.map_batches(
-                row_filter, batch_format="pyarrow", zero_copy_batch=True
-            )
-        os.makedirs(out_dir, exist_ok=True)
-        # write_parquet APPENDS uuid-named files: a crashed merge
-        # re-run into the same out_dir would otherwise double every
-        # docs row (n_docs up, avgdl down — silently wrong scores)
-        import shutil as _shutil
-
-        _shutil.rmtree(os.path.join(out_dir, "docs"), ignore_errors=True)
-        docs_ds.write_parquet(os.path.join(out_dir, "docs"))
-        mf.atomic_write_bytes(os.path.join(out_dir, "_DOCS_SUCCESS"), b"")
-        wrote_docs = True
-
-    if row_filter is None:
-        n_docs = sum(m["n_docs"] for m in metas)
-        total_len = sum(m["total_len"] for m in metas)
-    else:
-        if not wrote_docs:
-            raise ValueError(
-                "exclude_doc_ids / keep_shard requires docs tables to "
-                "recompute n_docs"
-            )
-        import pyarrow.dataset as pads
-
-        n_docs = pads.dataset(os.path.join(out_dir, "docs")).count_rows()
-        total_len = int(sum(e["sum_tf"] for e in entries.values()))
-    from .build import compute_lang_stats
-
-    meta = {
-        "format_version": 3,
-        "block_size": schemas.BLOCK_SIZE,
-        "n_docs": n_docs,
-        "total_len": total_len,
-        "lang_stats": compute_lang_stats(out_dir) if wrote_docs else {},
-        "n_postings": int(sum(e["n_postings"] for e in entries.values())),
-        "avgdl": total_len / n_docs if n_docs else 0.0,
-        "num_partitions": num_partitions,
-        "parts_built": sorted(entries),
-        "parts_skipped_on_resume": [],
-        "salt_bits": metas[0].get("salt_bits", 4),
-        "hot_terms": sorted({t for m in metas for t in m.get("hot_terms", [])}),
-        "query_lang": metas[0].get("query_lang", "simple"),
-        "analyzer_lang": analyzer_lang,
-        "id_col": metas[0].get("id_col"),
-        "positions": positional,
-        "merged_from": [os.path.abspath(d) for d in index_dirs],
+    hot_terms = sorted({t for m in metas for t in m.get("hot_terms", [])})
+    salt_bits = metas[0].get("salt_bits", 4)
+    return write_index(
+        route_postings(union, num_partitions, hot_terms, salt_bits),
+        out_dir, num_partitions=num_partitions, hot_terms=hot_terms,
+        salt_bits=salt_bits, query_lang=metas[0].get("query_lang"),
+        analyzer_lang=analyzers.pop(), id_col=metas[0].get("id_col"),
+        positions=positional.pop(),
+        stats=None if row_filter is not None else (
+            sum(m["n_docs"] for m in metas),
+            sum(m["total_len"] for m in metas)),
+        merged_from=[os.path.abspath(d) for d in index_dirs],
         # job identity for filtered merges (serve.reshard resume check):
         # a completed dir is only adoptable by the SAME job
-        "keep_shard": list(keep_shard) if keep_shard else None,
-        "exclude_sha": hashlib.sha256(
+        keep_shard=list(keep_shard) if keep_shard else None,
+        exclude_sha=hashlib.sha256(
             ",".join(map(str, sorted(exclude_doc_ids or []))).encode()
         ).hexdigest()[:16],
-    }
-    mf.write_meta(out_dir, meta)
-    mf.mark_complete(out_dir)
-    return meta
+    )

@@ -91,9 +91,9 @@ def _with_doc_ids(ds: ray.data.Dataset, id_col: str) -> ray.data.Dataset:
         return ds
 
     def add_ids(batch: pa.Table) -> pa.Table:
-        from ..stages.extract import _doc_ids_for_batch
+        from ..functions.hashing import doc_ids_for_batch
 
-        ids = _doc_ids_for_batch(batch, None)
+        ids = doc_ids_for_batch(batch, None)
         return batch.append_column(id_col, pa.array(ids, pa.int64()))
 
     return ds.map_batches(add_ids, batch_format="pyarrow",

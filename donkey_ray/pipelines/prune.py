@@ -17,10 +17,13 @@ rarely reach the top-k; pruning trades bounded recall for a smaller,
 faster index — the classic size/latency dial for serving fleets.
 
 Scale shape: ONE decode pass over the source segments (partition files
-read in parallel), one term-keyed exchange (the same hash partitioning
-as a build — a term's postings must co-locate for the global keep
-rule), and the per-partition prune is a single lexsort + segmented
-rank; the docs table is copied via a streaming read->write.
+read in parallel), one term-keyed exchange routed by the build's rule
+with an empty hot set (every term in its home partition — a term's
+postings must co-locate for the global keep rule), and the
+per-partition prune is a single lexsort + segmented rank; the build's
+writer (``build.write_index``) writes the segments and the meta, and
+``build.copy_docs`` rewrites the docs table (streaming read->write) on
+every run, so there is no separate docs marker.
 
 Known skew ceiling (documented, not yet needed at tested scale): the
 co-locating exchange un-salts hot terms, so the owner partition of the
@@ -34,16 +37,13 @@ and exchange ONLY the tf == tf* boundary postings for the exact
 
 from __future__ import annotations
 
-import glob as _glob
 import os
 
 import numpy as np
 import pyarrow as pa
-import ray
-import ray.data
 
-from .. import schemas
 from ..state import manifest as mf
+from .build import copy_docs, route_postings, write_index
 from .incremental import segments_as_postings
 
 
@@ -96,65 +96,18 @@ def prune_index(
                          "semantics; prune the non-positional index")
     P = num_partitions or int(src_meta["num_partitions"])
 
-    from ..functions.hashing import term_partition
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        terms = batch.column("term").to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(terms, return_inverse=True)
-        # the UNSALTED base route on purpose (keep rule needs the whole
-        # term co-located); must stay the engine's read-side routing —
-        # term_partition is the single source of truth
-        base = np.fromiter(
-            (term_partition(str(t), P) for t in uniq),
-            dtype=np.int32, count=len(uniq),
-        )
-        return batch.append_column("part", pa.array(base[inv], pa.int32()))
-
-    os.makedirs(out_dir, exist_ok=True)
-    manifest_rows = (
-        segments_as_postings(src_dir)
-        .map_batches(add_part, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("part")
-        .map_groups(_PruningSegmentWriter(out_dir, keep_frac),
-                    batch_format="pyarrow")
-    )
-    entries = {int(r["part"]): r for r in manifest_rows.take_all()}
-
-    docs_paths = sorted(_glob.glob(os.path.join(src_dir, "docs", "*.parquet")))
-    if docs_paths:
-        docs_out = os.path.join(out_dir, "docs")
-        marker = os.path.join(out_dir, "_DOCS_SUCCESS")
-        if not os.path.exists(marker):
-            # a partial docs dir from a crashed run must be cleared:
-            # Ray's write_parquet APPENDS (uuid filenames), so a rerun
-            # over leftovers would silently duplicate every doc row
-            import shutil
-
-            shutil.rmtree(docs_out, ignore_errors=True)
-            ray.data.read_parquet(docs_paths).write_parquet(docs_out)
-            mf.atomic_write_bytes(marker, b"")
-
-    meta = {
-        "format_version": 3,
-        "lang_stats": src_meta.get("lang_stats", {}),
-        "block_size": schemas.BLOCK_SIZE,
+    copy_docs([src_dir], out_dir)
+    # no hot set on purpose: the keep rule needs every term co-located
+    return write_index(
+        route_postings(segments_as_postings(src_dir), P),
+        out_dir, num_partitions=P, hot_terms=[],
+        salt_bits=src_meta.get("salt_bits", 4),
+        query_lang=src_meta.get("query_lang"),
+        analyzer_lang=src_meta.get("analyzer_lang"),
+        id_col=src_meta.get("id_col"), positions=False,
+        writer=_PruningSegmentWriter(out_dir, keep_frac),
         # corpus stats carried UNCHANGED: tf_weight must match the full
         # index for surviving postings (only idf shifts, via pruned df)
-        "n_docs": src_meta["n_docs"],
-        "total_len": src_meta["total_len"],
-        "n_postings": int(sum(e["n_postings"] for e in entries.values())),
-        "avgdl": src_meta["avgdl"],
-        "num_partitions": P,
-        "parts_built": sorted(entries),
-        "parts_skipped_on_resume": [],
-        "salt_bits": src_meta.get("salt_bits", 4),
-        "hot_terms": [],  # keep rule already co-located every term
-        "query_lang": src_meta.get("query_lang", "simple"),
-        "id_col": src_meta.get("id_col"),
-        "positions": False,
-        "pruned_from": os.path.abspath(src_dir),
-        "keep_frac": keep_frac,
-    }
-    mf.write_meta(out_dir, meta)
-    mf.mark_complete(out_dir)
-    return meta
+        stats=(src_meta["n_docs"], src_meta["total_len"]),
+        pruned_from=os.path.abspath(src_dir), keep_frac=keep_frac,
+    )

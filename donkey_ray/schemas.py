@@ -83,6 +83,9 @@ RESULTS = pa.schema(
 )
 
 BLOCK_SIZE = 128  # postings per block-max block (SURVEY.md section 7 step 4)
+# index artifact generation (meta.json ``format_version``); v3 added the
+# docs ``doc_len`` column and meta ``lang_stats``
+FORMAT_VERSION = 3
 
 
 def validate(table_schema: pa.Schema, expected: pa.Schema, what: str) -> None:

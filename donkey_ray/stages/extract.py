@@ -3,7 +3,7 @@
 Donkey analogue [PK]: ``Extractor::extract(raw) -> Object`` (plugin header,
 see SURVEY.md section 0) — here the 'features' are (term, tf) pairs and the
 extractor is the per-lang tokenizer registry. Stateful setup (compiled
-regexes, hot-term table) happens once per actor in ``__init__``; per-batch
+regexes, hot-term set) happens once per actor in ``__init__``; per-batch
 work is vectorized Arrow/numpy.
 """
 
@@ -16,28 +16,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import stable_term_hash
+from ..functions.hashing import doc_ids_for_batch, partition_column
 from ..functions.tokenize import get_tokenizer
 from ..state import manifest as mf
-
-
-def _doc_ids_for_batch(batch: pa.Table, id_col: str | None) -> np.ndarray:
-    if id_col and id_col in batch.column_names:
-        return batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
-    repo = batch.column("repo").to_pylist()
-    path = batch.column("path").to_pylist()
-    commit = batch.column("commit").to_pylist()
-    mask = (1 << 63) - 1
-    out = np.empty(len(repo), dtype=np.int64)
-    for i in range(len(repo)):
-        h = hashlib.sha256()
-        h.update(repo[i].encode())
-        h.update(b"\x00")
-        h.update(path[i].encode())
-        h.update(b"\x00")
-        h.update(commit[i].encode())
-        out[i] = int.from_bytes(h.digest()[:8], "big") & mask
-    return out
 
 
 def doc_meta(batch: pa.Table, *, id_col: str | None = None,
@@ -52,7 +33,7 @@ def doc_meta(batch: pa.Table, *, id_col: str | None = None,
     they are absent they are derived here, tokenizing each row with its
     lang's registered tokenizer."""
     if doc_ids is None:
-        doc_ids = _doc_ids_for_batch(batch, id_col)
+        doc_ids = doc_ids_for_batch(batch, id_col)
     if doc_len is None:
         doc_len = PostingsExtractor(
             1, id_col=id_col, emit_part=False).tokenize(batch)[3]
@@ -75,7 +56,7 @@ def doc_meta(batch: pa.Table, *, id_col: str | None = None,
 
 
 # per-worker-process extractor cache: tasks get actor-like amortization of
-# setup (hot-term routing table, compiled regexes) without actor-pool
+# setup (hot-term set, compiled regexes) without actor-pool
 # startup latency. Keyed by config; hot set resolved from the object store
 # once per process.
 _EXTRACTOR_CACHE: dict = {}
@@ -129,10 +110,9 @@ class PostingsExtractor:
     through ``extract_postings`` in a task pool, one cached instance per
     worker process.
 
-    Partition routing: part = blake2b(term) % P, except hot (high-df) terms
-    which are salted by the TOP ``salt_bits`` bits of doc_id so each salted
-    run covers a contiguous doc_id range (merge = range concat, B17/B18).
-    The hot-term routing table is built once per instance in __init__.
+    Partition routing: ``functions.hashing.partition_column`` — home
+    partition blake2b(term) % P, hot (high-df) terms salted by the TOP
+    ``salt_bits`` bits of doc_id (B17/B18).
     """
 
     def __init__(
@@ -145,8 +125,6 @@ class PostingsExtractor:
         positions: bool = False,
         lang_override: str | None = None,
     ) -> None:
-        import ray
-
         self.num_partitions = int(num_partitions)
         self.salt_bits = int(salt_bits)
         self.id_col = id_col
@@ -156,20 +134,7 @@ class PostingsExtractor:
         # this (term, doc))) — a self-contained cell, so the shuffle and
         # the segment encoder treat it as an opaque byte string
         self.positions = bool(positions)
-        if hot_terms is not None and isinstance(hot_terms, ray.ObjectRef):
-            hot_terms = ray.get(hot_terms)
-        self.hot_parts: dict[str, np.ndarray] = {}
-        for t in hot_terms or ():
-            salts = np.empty(1 << self.salt_bits, dtype=np.int32)
-            for s in range(1 << self.salt_bits):
-                salts[s] = int.from_bytes(
-                    hashlib.blake2b(
-                        t.encode() + b"#" + int(s).to_bytes(8, "big"), digest_size=8
-                    ).digest(),
-                    "big",
-                ) % self.num_partitions
-            self.hot_parts[t] = salts
-        self._part_cache: dict[str, int] = {}
+        self.hot_terms = frozenset(hot_terms or ())
         self._tokenizers = {}
         # analyzer override: when set, EVERY row tokenizes through this
         # analyzer regardless of its lang column (stem/fold indexes —
@@ -184,14 +149,6 @@ class PostingsExtractor:
         if tok is None:
             tok = self._tokenizers[lang] = get_tokenizer(lang)
         return tok
-
-    def _cold_part(self, term: str) -> int:
-        p = self._part_cache.get(term)
-        if p is None:
-            if len(self._part_cache) > 2_000_000:
-                self._part_cache.clear()
-            p = self._part_cache[term] = stable_term_hash(term) % self.num_partitions
-        return p
 
     def tokenize(self, batch: pa.Table):
         """Per-lang tokenize of the batch's content: (token arrays, their
@@ -225,7 +182,7 @@ class PostingsExtractor:
     def extract(self, batch: pa.Table
                 ) -> tuple[pa.Table, np.ndarray, np.ndarray]:
         """One corpus batch -> (postings, per-row doc_id, per-row dl)."""
-        doc_ids = _doc_ids_for_batch(batch, self.id_col)
+        doc_ids = doc_ids_for_batch(batch, self.id_col)
         term_arrs, row_arrs, pos_arrs, dl_batch = self.tokenize(batch)
         if not term_arrs or sum(len(a) for a in term_arrs) == 0:
             empty = {
@@ -276,21 +233,9 @@ class PostingsExtractor:
         if not self.emit_part:
             return pa.table(cols), doc_ids, dl_batch
 
-        # route per unique term (cached); salt hot terms by doc_id top bits
-        term_np = terms.to_numpy(zero_copy_only=False)
-        uniq, inv = np.unique(term_np, return_inverse=True)
-        base = np.fromiter(
-            (self._cold_part(t) for t in uniq), dtype=np.int32, count=len(uniq)
-        )
-        part = base[inv]
-        if self.hot_parts:
-            salts = (out_doc_ids >> (63 - self.salt_bits)).astype(np.int64)
-            for j, t in enumerate(uniq):
-                table = self.hot_parts.get(t)
-                if table is not None:
-                    m = inv == j
-                    part[m] = table[salts[m]]
-        cols["part"] = pa.array(part, pa.int32())
+        cols["part"] = pa.array(partition_column(
+            terms.to_numpy(zero_copy_only=False), out_doc_ids,
+            self.num_partitions, self.hot_terms, self.salt_bits), pa.int32())
         return pa.table(cols), doc_ids, dl_batch
 
     def _group_with_positions(self, term_arrs, row_arrs, pos_arrs):

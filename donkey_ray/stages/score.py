@@ -36,6 +36,7 @@ import pyarrow.parquet as pq
 
 from ..functions import scoring
 from ..functions.codec import decode_blocked_deltas, varbyte_decode
+from ..functions.hashing import candidate_parts
 from ..functions.tokenize import get_tokenizer
 from ..state import manifest as mf
 from .. import schemas
@@ -499,13 +500,9 @@ class QueryEngine:
         return self._shards.load((ix, part), open_shard)
 
     def _candidate_parts(self, ix: int, term: str) -> list[int]:
-        from ..functions.hashing import salted_parts, stable_term_hash
-
         m = self.metas[ix]
-        P = int(m["num_partitions"])
-        if term in self._hot[ix]:
-            return salted_parts(term, P, int(m.get("salt_bits", 4)))
-        return [stable_term_hash(term) % P]
+        return candidate_parts(term, int(m["num_partitions"]), self._hot[ix],
+                               int(m.get("salt_bits", 4)))
 
     def term_runs(self, term: str) -> list[dict]:
         """All posting runs of ``term`` across indexes/salted partitions
