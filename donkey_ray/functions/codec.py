@@ -17,6 +17,8 @@ SURVEY.md section 0); this format is our own pinned spec.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 _U7 = np.uint64(7)
@@ -54,35 +56,33 @@ def varbyte_decode(buf: bytes) -> np.ndarray:
     b = np.frombuffer(buf, dtype=np.uint8)
     if b.size == 0:
         return np.zeros(0, dtype=np.uint64)
-    is_end = (b & 0x80) == 0
+    is_end = b < 0x80
     if not is_end[-1]:
         raise ValueError("truncated varbyte stream")
-    n_vals = int(is_end.sum())
+    ends = np.flatnonzero(is_end)
+    n_vals = ends.size
     # uniform-width fast path: sorted-hash doc-id deltas cluster in one
     # log range, so whole buffers are often a single byte length — then
     # the stream is a (n, L) matrix and decoding is L column combines
-    # (no cumsum / flatnonzero / scatter)
-    if n_vals and b.size % n_vals == 0:
+    if b.size % n_vals == 0:
         L = b.size // n_vals
-        ends = is_end.reshape(n_vals, L)
-        if ends[:, -1].all() and (L == 1 or not ends[:, :-1].any()):
+        grid = is_end.reshape(n_vals, L)
+        if grid[:, -1].all() and (L == 1 or not grid[:, :-1].any()):
             m = b.reshape(n_vals, L).astype(np.uint64)
             vals = m[:, 0] & np.uint64(0x7F)
             for g in range(1, L):
                 vals |= (m[:, g] & np.uint64(0x7F)) << np.uint64(7 * g)
             return vals
-    value_id = np.zeros(b.size, dtype=np.int64)
-    np.cumsum(is_end[:-1], out=value_id[1:])
-    # start index of each value
-    starts = np.flatnonzero(
-        np.concatenate(([True], is_end[:-1]))
-    )
-    shift = (np.arange(b.size, dtype=np.int64) - starts[value_id]).astype(np.uint64)
-    contrib = (b & np.uint8(0x7F)).astype(np.uint64) << (_U7 * shift)
-    n = int(is_end.sum())
-    vals = np.zeros(n, dtype=np.uint64)
-    np.add.at(vals, value_id, contrib)
-    return vals
+    # start index of each value, and of each byte's value (spread
+    # forward by a running max): the byte's 7-bit group index is the gap
+    starts = np.zeros(n_vals, dtype=np.int64)
+    starts[1:] = ends[:-1] + 1
+    first = np.zeros(b.size, dtype=np.int64)
+    first[starts] = starts
+    shift = np.arange(b.size, dtype=np.int64) - np.maximum.accumulate(first)
+    contrib = (b & np.uint8(0x7F)).astype(np.uint64) << (
+        _U7 * shift.astype(np.uint64))
+    return np.bitwise_or.reduceat(contrib, starts)
 
 
 def varbyte_encode_all(values) -> tuple[bytes, np.ndarray]:
@@ -137,6 +137,30 @@ def decode_blocked_deltas(buf: bytes, n: int, block_size: int) -> np.ndarray:
     lens = np.diff(np.append(bs, n))
     corr = np.repeat(pre, lens)
     return (c - corr).astype(np.int64)
+
+
+def decode_runs(runs, block_size: int) -> list[tuple]:
+    """[(decode_blocked_deltas(doc_buf, df, block_size),
+    varbyte_decode(tf_buf), varbyte_decode(dl_buf)) for doc_buf, tf_buf,
+    dl_buf, df in runs] from ONE varbyte pass over all the streams; the
+    arrays are views of that one batch."""
+    if not runs:
+        return []
+    doc_bufs, tf_bufs, dl_bufs, dfs = zip(*runs)
+    bounds = [0, *accumulate(map(int, dfs))]
+    n = bounds[-1]
+    v = varbyte_decode(b"".join([*doc_bufs, *tf_bufs, *dl_bufs]))
+    assert v.size == 3 * n, (v.size, n)
+    d, tfs, dls = v[:n], v[n:2 * n], v[2 * n:]
+    c = np.cumsum(d, dtype=np.uint64)
+    # the doc-id deltas reset at every block of every run: subtract the
+    # running sum before each block's first (absolute) value
+    local = np.arange(n, dtype=np.int64) - np.repeat(bounds[:-1], dfs)
+    first = local % block_size == 0
+    base = (c - d)[first]
+    docs = (c - base[np.cumsum(first) - 1]).astype(np.int64)
+    return [(docs[a:b], tfs[a:b], dls[a:b])
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def delta_encode_segments(sorted_vals, seg_starts) -> np.ndarray:

@@ -5,7 +5,9 @@ src/server.cpp — file-level, SURVEY.md section 0 / section 2A A7).
 Donkey exposes its engine to non-C++ clients over a wire protocol; here
 the same surface is a dependency-free stdlib ``ThreadingHTTPServer``
 wrapping the Ray serving actors, so non-Python clients reach the
-cluster through plain JSON-over-HTTP:
+cluster through plain JSON-over-HTTP. Request threads are reused
+(``_HTTPServer``); concurrency is unchanged, every request is handled at
+once on its own thread:
 
     GET  /ping                     liveness + index stats
     GET  /stats                    full index stats (primary only)
@@ -46,6 +48,7 @@ shared replica pool (``serve.start_frontends``)."""
 from __future__ import annotations
 
 import json
+import queue
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -82,6 +85,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _body(self) -> dict:
         n = int(self.headers.get("Content-Length") or 0)
+        if n < 0:  # read(-1) would wait for an EOF the client never sends
+            raise ValueError(f"negative Content-Length {n}")
         if n == 0:
             return {}
         return json.loads(self.rfile.read(n) or b"{}")
@@ -214,6 +219,52 @@ class _Handler(BaseHTTPRequestHandler):
             self._json(500, {"error": repr(ex)})
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """``ThreadingHTTPServer`` whose request threads are reused: every
+    request is still handled at once on a daemon thread (no cap, no
+    queue), but a thread that has answered waits for the next request,
+    and a new one starts only when none is idle."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._lock = threading.Lock()
+        self._idle: list[queue.SimpleQueue] = []  # idle threads' inboxes
+        self._closed = False
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is None:
+            inbox = queue.SimpleQueue()
+            threading.Thread(target=self._work, args=(inbox,),
+                             daemon=True).start()
+        inbox.put((request, client_address))
+
+    def _work(self, inbox: queue.SimpleQueue) -> None:
+        while (job := inbox.get()) is not None:
+            try:
+                self.finish_request(*job)
+            except Exception:
+                self.handle_error(*job)
+            # idle before the connection closes: the client has its
+            # answer, and its next request should find this thread
+            with self._lock:
+                if self._closed:
+                    inbox.put(None)
+                else:
+                    self._idle.append(inbox)
+            self.shutdown_request(job[0])
+
+    def server_close(self) -> None:
+        """Also ends the idle threads; a busy one ends after its request."""
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            for inbox in self._idle:
+                inbox.put(None)
+            self._idle.clear()
+
+
 def make_http_frontend(
     *,
     router=None,
@@ -232,7 +283,7 @@ def make_http_frontend(
     if router is None and primary is None and vrouter is None \
             and vprimary is None:
         raise ValueError("need at least one serving actor handle")
-    srv = ThreadingHTTPServer((host, port), _Handler)
+    srv = _HTTPServer((host, port), _Handler)
     srv.router = router  # type: ignore[attr-defined]
     srv.primary = primary  # type: ignore[attr-defined]
     srv.vrouter = vrouter  # type: ignore[attr-defined]

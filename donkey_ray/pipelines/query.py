@@ -391,7 +391,7 @@ def scatter_gather_topk(
     )
 
     def score_partition(group: pa.Table) -> pa.Table:
-        from ..functions.codec import decode_blocked_deltas, varbyte_decode
+        from ..functions.codec import decode_runs
 
         part = int(group.column("part")[0].as_py())
         shard = _SegmentShard(seg_path[part])
@@ -400,19 +400,16 @@ def scatter_gather_topk(
         contrib_out: list[np.ndarray] = []
         terms = group.column("term").to_numpy(zero_copy_only=False)
         qids = group.column("query_id").to_numpy(zero_copy_only=False)
-        for term in np.unique(terms):
-            row = shard.find(str(term))
-            if row is None:
-                continue
-            n = int(row["df"])
-            ids = decode_blocked_deltas(row["doc_ids"], n, eng.block_size)
-            tfs = varbyte_decode(row["tfs"]).astype(np.float64)
-            dls = varbyte_decode(row["dls"]).astype(np.float64)
-            contrib = idf_by_term[str(term)] * scorer.tf_weight(
-                tfs, dls, avgdl
+        found = [(str(t), row) for t in np.unique(terms)
+                 if (row := shard.find(str(t))) is not None]
+        decoded = decode_runs([(r["doc_ids"], r["tfs"], r["dls"], r["df"])
+                               for _, r in found], eng.block_size)
+        for (term, _), (ids, tfs, dls) in zip(found, decoded):
+            contrib = idf_by_term[term] * scorer.tf_weight(
+                tfs.astype(np.float64), dls.astype(np.float64), avgdl
             )
             for qid in qids[terms == term]:
-                qids_out.append(np.full(n, qid, dtype=np.int64))
+                qids_out.append(np.full(ids.size, qid, dtype=np.int64))
                 docs_out.append(ids)
                 contrib_out.append(contrib)
         if not docs_out:

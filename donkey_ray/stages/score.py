@@ -32,10 +32,11 @@ from collections import OrderedDict
 from itertools import accumulate
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..functions import scoring
-from ..functions.codec import decode_blocked_deltas, varbyte_decode
+from ..functions.codec import decode_runs, varbyte_decode
 from ..functions.hashing import candidate_parts
 from ..functions.tokenize import get_tokenizer
 from ..state import manifest as mf
@@ -88,8 +89,22 @@ class _LRU:
         return self.put(key, compute())
 
 
-def _concat(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+def _flat_columns(tbl: pa.Table) -> dict:
+    """A row group as flat columns, taken from the arrow buffers once: a
+    binary or list column as (offsets, values) numpy arrays, any other
+    column as a Python list."""
+    cols = {}
+    for name in tbl.column_names:
+        a = tbl.column(name).combine_chunks()
+        if pa.types.is_binary(a.type):
+            _, off, data = a.buffers()
+            cols[name] = (np.frombuffer(off, np.int32)[a.offset:][:len(a) + 1],
+                          np.frombuffer(data or b"", np.uint8))
+        elif pa.types.is_list(a.type):
+            cols[name] = (a.offsets.to_numpy(), a.values.to_numpy())
+        else:
+            cols[name] = a.to_pylist()
+    return cols
 
 
 def _ranked(docs: np.ndarray, scores: np.ndarray,
@@ -210,9 +225,10 @@ class _SegmentShard:
     Segment rows are term-sorted on disk, so a term lookup is: (1) prune
     to one parquet row group via the term column's min/max statistics,
     (2) binary-search the (cached) term column of that row group, (3)
-    fetch the full row group only on a hit. Per-shard memory is bounded
-    by the row-group LRU caches — NEVER proportional to the partition's
-    vocabulary, so actors stay small at 10^9+-term corpora."""
+    fetch the full row group only on a hit, kept as flat numpy columns
+    (``_flat_columns``). Per-shard memory is bounded by the row-group LRU
+    caches — NEVER proportional to the partition's vocabulary, so actors
+    stay small at 10^9+-term corpora."""
 
     def __init__(self, path: str) -> None:
         self.pf = pq.ParquetFile(path)
@@ -236,6 +252,9 @@ class _SegmentShard:
                     self.rg_min.append(None)
                     self.rg_max.append(None)
         self._stats_complete = None not in self.rg_max
+        # a row group is read without its (separately cached) terms
+        self._row_columns = [n for n in self.pf.schema_arrow.names
+                             if n != "term"]
         # term column of group g under key g, its df column under -g - 1
         self._columns = _LRU(_CACHE_GROUPS)
         self._groups = _LRU(_CACHE_GROUPS)
@@ -294,9 +313,11 @@ class _SegmentShard:
         return int(self._group_column(g, -g - 1, "df")[i])
 
     def find(self, term: str) -> dict | None:
-        """Full segment row for ``term`` (postings + block metadata), or
-        None. Costs at most one row-group term-column read + (on hit)
-        one full row-group read, both LRU-cached."""
+        """Segment row for ``term`` (postings + block metadata, without
+        the term itself), or None: binary and list cells as numpy arrays
+        COPIED out of the row group (a kept row never pins its group),
+        others as Python values. Costs at most one row-group term-column
+        read + (on hit) one row-group read, both LRU-cached."""
         g = self._candidate_group(term)
         if g is None:
             return None
@@ -304,8 +325,11 @@ class _SegmentShard:
         i = int(np.searchsorted(terms, term))
         if i >= len(terms) or terms[i] != term:
             return None
-        tbl = self._groups.load(g, lambda: self.pf.read_row_group(g))
-        return {name: tbl.column(name)[i].as_py() for name in tbl.column_names}
+        cols = self._groups.load(g, lambda: _flat_columns(
+            self.pf.read_row_group(g, columns=self._row_columns)))
+        return {name: c[i] if isinstance(c, list)
+                else c[1][c[0][i]:c[0][i + 1]].copy()
+                for name, c in cols.items()}
 
 
 class _TermPostings:
@@ -317,31 +341,31 @@ class _TermPostings:
     Positions decode LAZILY per block (``positions_for``): only blocks
     holding selected postings are ever decoded (the position delta
     stream resets at every posting and the segment stores per-block
-    byte offsets). Arrays are shared across queries, so read-only."""
+    byte offsets). Arrays are shared across queries, so read-only; each
+    owns its memory (none is a view of a row group or of the decode
+    batch it came from)."""
 
-    def __init__(self, rows: list[dict], block_size: int, scorer,
+    def __init__(self, runs: list[tuple], block_size: int, scorer,
                  n_docs: int, avgdl: float) -> None:
+        """``runs``: per run, its decoded (docs, tfs, dls) from
+        ``codec.decode_runs`` and its segment row."""
         self.block_size = block_size
-        run_docs = [decode_blocked_deltas(r["doc_ids"], int(r["df"]),
-                                          block_size) for r in rows]
-        order = sorted(range(len(rows)), key=lambda i: int(run_docs[i][0]))
-        run_docs = [run_docs[i] for i in order]
-        rows = [rows[i] for i in order]
+        runs = sorted(runs, key=lambda r: int(r[0][0]))
         # run r holds concatenated postings [off[r], off[r + 1])
-        self._off = [0, *accumulate(d.size for d in run_docs)]
+        self._off = [0, *accumulate(r[0].size for r in runs)]
         # per run: the position stream and its block byte offsets (only
         # these of a segment row are kept; positional indexes only)
         self._poss = [(r["poss"], np.asarray(r["block_pos_boff"], np.int64))
-                      for r in rows] if "poss" in rows[0] else None
-        docs = _concat(run_docs)
-        tfs = _concat([varbyte_decode(r["tfs"]) for r in rows])
-        dls = _concat([varbyte_decode(r["dls"]) for r in rows])
-        tfs, dls = tfs.astype(np.float64), dls.astype(np.float64)
+                      for *_, r in runs] if "poss" in runs[0][3] else None
+        # concatenate copies, even a single run
+        docs = np.concatenate([r[0] for r in runs])
+        tfs = np.concatenate([r[1] for r in runs], dtype=np.float64)
+        dls = np.concatenate([r[2] for r in runs], dtype=np.float64)
         # each run is doc-sorted, so runs in first-doc order concatenate
         # sorted (salted runs) unless two interleave (federated members):
         # one argsort repairs that
         self._perm = self._inv = None  # merged <-> concatenated index
-        if any(a[-1] > b[0] for a, b in zip(run_docs, run_docs[1:])):
+        if any(a[0][-1] > b[0][0] for a, b in zip(runs, runs[1:])):
             self._perm = np.argsort(docs, kind="stable")
             self._inv = np.empty_like(self._perm)
             self._inv[self._perm] = np.arange(self._perm.size)
@@ -527,23 +551,23 @@ class QueryEngine:
     def postings(self, term: str) -> _TermPostings | None:
         """The decoded, doc-merged postings of ``term`` (None when no
         index holds it) — the one cache every exact operator reads."""
-        p = self._postings.get(term)
-        if p is None:
-            rows = [r for r in self.term_runs(term) if int(r["df"])]
-            if not rows:
-                return None
-            p = self._postings.put(term, _TermPostings(
-                rows, self.block_size, self.scorer, self.n_docs, self.avgdl))
-        return p
+        return self._load([term]).get(term)
 
     def _load(self, terms) -> dict[str, _TermPostings]:
         """Entries of the ``terms`` that have postings, in first-seen
-        order."""
-        post: dict[str, _TermPostings] = {}
-        for t in terms:
-            if t not in post and (p := self.postings(t)) is not None:
-                post[t] = p
-        return post
+        order. Every run of every uncached term decodes in ONE pass."""
+        terms = list(dict.fromkeys(terms))
+        post = {t: p for t in terms if (p := self._postings.get(t)) is not None}
+        rows = {t: rs for t in terms if t not in post
+                and (rs := [r for r in self.term_runs(t) if int(r["df"])])}
+        decoded = iter(decode_runs([(r["doc_ids"], r["tfs"], r["dls"], r["df"])
+                                    for rs in rows.values() for r in rs],
+                                   self.block_size))
+        for t, rs in rows.items():
+            post[t] = self._postings.put(t, _TermPostings(
+                [(*next(decoded), r) for r in rs], self.block_size,
+                self.scorer, self.n_docs, self.avgdl))
+        return {t: post[t] for t in terms if t in post}
 
     def _conjunction(
         self, terms: list[str]

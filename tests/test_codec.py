@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from donkey_ray import schemas
 from donkey_ray.functions.codec import (
+    decode_blocked_deltas,
     decode_postings,
+    decode_runs,
     delta_decode,
     delta_encode,
+    delta_encode_segments,
     encode_postings,
     varbyte_decode,
     varbyte_encode,
@@ -84,3 +88,42 @@ def test_delta_compresses():
     ids = np.arange(1_000_000, 1_010_000, dtype=np.int64)
     buf = encode_postings(ids)
     assert len(buf) < 10_000 + 10  # ~1 byte per delta after the first
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, schemas.BLOCK_SIZE]),
+    # terms x runs: (df, doc-id span, seed) per run; df crosses blocks
+    st.lists(st.lists(st.tuples(st.integers(1, 300),
+                                st.sampled_from([2**12, 2**40, 2**62]),
+                                st.integers(0, 2**32)),
+                      min_size=1, max_size=4),
+             min_size=1, max_size=5),
+)
+def test_decode_runs_equals_per_run_decode(block_size, terms):
+    """One varbyte pass over many runs == per run decode_blocked_deltas
+    + varbyte_decode of its tf and dl streams, in input order."""
+    runs = []
+    for term_runs in terms:
+        for df, span, seed in term_runs:
+            rng = np.random.default_rng(seed)
+            ids = np.unique(rng.integers(0, span, size=df, dtype=np.int64))
+            starts = np.arange(0, ids.size, block_size)
+            runs.append((
+                varbyte_encode(delta_encode_segments(ids.astype(np.uint64),
+                                                     starts)),
+                varbyte_encode(rng.integers(1, 2**20, ids.size, np.uint64)),
+                varbyte_encode(rng.integers(1, 300, ids.size, np.uint64)),
+                ids.size))
+    got = decode_runs(runs, block_size)
+    assert len(got) == len(runs)
+    for (doc_buf, tf_buf, dl_buf, n), (docs, tfs, dls) in zip(runs, got):
+        want = decode_blocked_deltas(doc_buf, n, block_size)
+        assert docs.dtype == want.dtype == np.int64
+        assert np.array_equal(docs, want)
+        assert np.array_equal(tfs, varbyte_decode(tf_buf))
+        assert np.array_equal(dls, varbyte_decode(dl_buf))
+
+
+def test_decode_runs_empty():
+    assert decode_runs([], schemas.BLOCK_SIZE) == []

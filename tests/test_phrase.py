@@ -16,6 +16,7 @@ import pyarrow as pa
 import pytest
 
 from donkey_ray import schemas
+from donkey_ray.functions.codec import decode_runs
 from donkey_ray.functions.scoring import BM25Scorer
 from donkey_ray.pipelines.build import build_index
 from donkey_ray.stages.encode import encode_partition_table
@@ -129,7 +130,10 @@ def test_positions_roundtrip_no_shuffle():
     assert "poss" in seg.column_names and "block_pos_boff" in seg.column_names
     terms = seg.column("term").to_pylist()
     row = {n: seg.column(n)[terms.index("a")].as_py() for n in seg.column_names}
-    pp = _TermPostings([row], schemas.BLOCK_SIZE, BM25Scorer(), len(texts), 1.0)
+    (run,) = decode_runs([(row["doc_ids"], row["tfs"], row["dls"], row["df"])],
+                         schemas.BLOCK_SIZE)
+    pp = _TermPostings([(*run, row)], schemas.BLOCK_SIZE, BM25Scorer(),
+                       len(texts), 1.0)
     docs_rep, pos = pp.positions_for(np.arange(len(pp.docs)))
     got = {}
     for d, p in zip(docs_rep.tolist(), pos.tolist()):

@@ -151,3 +151,43 @@ def test_operators_share_one_entry_per_term(indexes):
     # the federated runs interleave by doc id: the entry was argsorted
     assert p._perm is not None and (p.docs[1:] > p.docs[:-1]).all()
     assert p.docs.size == eng.term_df(term)
+
+
+def _entry_arrays(p) -> list:
+    out = [p.docs, p.tfs, p.dls, p.scores, *p.top()]
+    for poss, boff in p._poss or ():
+        out += [poss, boff]
+    return out
+
+
+@pytest.mark.parametrize("which", ["pos", "fed"])
+def test_rows_and_entries_own_their_memory(indexes, which):
+    """Rows from ``find``/``term_runs`` and every ``_TermPostings`` array
+    are copies: none is a view of a cached row group (a kept row or
+    entry would pin the group) or of a sibling entry of the same decode
+    batch (a cached term would pin the whole batch, and the values
+    budget would undercount)."""
+    import numpy as np
+
+    eng = QueryEngine(indexes[which], mode="exact")
+    terms = sorted({t for q in _queries(indexes[which])
+                    for t in eng._tok.tokenize(q)} | {"commontoken"})
+    post = eng._load(terms)  # one batch: every term is uncached
+    assert len(post) > 5
+    # both merge paths: runs concatenated, and runs argsorted
+    assert {p._perm is None for p in post.values()} == {True, False}
+    assert any(len(eng.term_runs(t)) > 1 for t in post)  # salted/federated
+    groups = [a for shard in eng._shards._d.values() if shard is not None
+              for cols in shard._groups._d.values()
+              for c in cols.values() if not isinstance(c, list) for a in c]
+    assert groups
+    rows = [v for t in post for r in eng.term_runs(t) for v in r.values()
+            if isinstance(v, np.ndarray)]
+    entries = {t: _entry_arrays(p) for t, p in post.items()}
+    for a in rows + [a for arrs in entries.values() for a in arrs]:
+        assert not any(np.shares_memory(a, g) for g in groups)
+        assert a.flags.owndata  # not even a disjoint slice of a batch
+    for t, arrs in entries.items():
+        siblings = [b for u, bs in entries.items() if u != t for b in bs]
+        for a in arrs:
+            assert not any(np.shares_memory(a, b) for b in siblings), t
