@@ -42,6 +42,17 @@ def _batch_matrix(batch: pa.Table, vec_col: str) -> np.ndarray:
     return flat.reshape(n, flat.size // n)
 
 
+def clamp_nprobe(nprobe: int | None, n_lists: int) -> int:
+    """Lists an IVF / IVF-PQ query probes: None or more than ``n_lists``
+    probes every list. Below 1 raises ValueError: 0 would return no rows
+    and a negative count would slice off the farthest lists instead."""
+    if nprobe is None:
+        return n_lists
+    if nprobe < 1:
+        raise ValueError(f"nprobe must be >= 1, got {nprobe}")
+    return min(nprobe, n_lists)
+
+
 def embedding_centroids(
     ds: ray.data.Dataset,
     *,
@@ -741,8 +752,7 @@ class _IVFNeighborProber:
         self.centroids = _batch_matrix(
             pq.read_table(os.path.join(index_dir, "centroids.parquet")),
             "centroid")
-        n_lists = len(self.centroids)
-        self.nprobe = n_lists if nprobe is None else min(nprobe, n_lists)
+        self.nprobe = clamp_nprobe(nprobe, len(self.centroids))
         self.k = k
         self.vec_col, self.id_col, self.label_col = vec_col, id_col, label_col
         self.cache_bytes = cache_bytes
@@ -750,8 +760,6 @@ class _IVFNeighborProber:
         self._cache_sz = 0
 
     def _load_part(self, part: int):
-        import os
-
         import pyarrow.parquet as pq
 
         from ..state import manifest as mf
@@ -759,12 +767,13 @@ class _IVFNeighborProber:
         if part in self._cache:
             self._cache.move_to_end(part)
             return self._cache[part]
-        path = mf.segment_path(self.index_dir, part)
-        if not os.path.exists(path):
+        paths = mf.built_segment_paths(self.index_dir, self.meta, [part])
+        if not paths:  # an unbuilt partition is an empty list
             entry = (np.array([], np.int32), np.array([], np.int64),
                      np.zeros((0, self.centroids.shape[1])))
         else:
-            t = pq.read_table(path, columns=["list_id", "vec_id", "embedding"])
+            t = pq.read_table(paths[0],
+                              columns=["list_id", "vec_id", "embedding"])
             entry = (
                 t.column("list_id").to_numpy(zero_copy_only=False),
                 t.column("vec_id").to_numpy(

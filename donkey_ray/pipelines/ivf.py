@@ -42,7 +42,7 @@ import ray.data
 from ..functions.hashing import deterministic_sample_mask
 from ..state import manifest as mf
 from ..util import dataset_to_table
-from .ann import _batch_matrix, _normalize
+from .ann import _batch_matrix, _normalize, clamp_nprobe
 
 FORMAT_VERSION = 1
 MAX_TRAIN_SAMPLE = 65_536
@@ -198,22 +198,17 @@ def ivf_topk(
     import pyarrow.dataset as pads
 
     meta = mf.load_meta(index_dir)
-    if not mf.is_complete(index_dir):
-        raise FileNotFoundError(f"IVF index at {index_dir} is not complete")
     centroids = _batch_matrix(
         pq.read_table(os.path.join(index_dir, "centroids.parquet")), "centroid"
     )
-    n_lists = len(centroids)
-    nprobe = n_lists if nprobe is None else min(nprobe, n_lists)
+    nprobe = clamp_nprobe(nprobe, len(centroids))
     q = _normalize(np.asarray(query_vectors, dtype=np.float64))
     # per query: the nprobe nearest centroid lists
     cent_sims = q @ centroids.T  # (nq, n_lists)
     probe = np.argsort(-cent_sims, axis=1)[:, :nprobe]  # (nq, nprobe)
     probed_lists = np.unique(probe)
     parts = np.unique(probed_lists % meta["num_partitions"])
-
-    paths = [mf.segment_path(index_dir, int(p)) for p in parts
-             if os.path.exists(mf.segment_path(index_dir, int(p)))]
+    paths = mf.built_segment_paths(index_dir, meta, parts)
     out = {"query_id": [], "rank": [], "vec_id": [], "cos_sim": []}
     if paths:
         data = pads.dataset(paths).to_table(

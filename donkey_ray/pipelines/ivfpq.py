@@ -11,15 +11,18 @@ Asymmetric Distance Computation against per-(query, probed list)
 residual distance tables. Memory per vector = M codes + a list id (vs
 D floats); query I/O = the probed lists only.
 
-Everything reuses the pinned-integer arithmetic of kmeans.py / pq.py so
-a DuckDB oracle mirrors training, encoding, probe selection AND search
+IVFADC is the product quantizer of pq.py run on residuals, so training
+is the one pinned-integer Lloyd loop (``kmeans.lloyd_fit``) twice: the
+coarse quantizer at M = 1 over quantized rows, then M subspaces over
+residual rows; encoding, ADC tables and the top-k merge are pq.py's. A
+DuckDB oracle mirrors training, encoding, probe selection AND search
 bit-for-bit:
 
 * inputs quantize half-up x1e6 (int64);
 * coarse = kmeans_fit (smallest-vec_id init, exact-int argmin with
   smallest-c ties, floor-div updates, empty-cluster carry);
 * residual r = q(x) - coarse_centroid[assigned] — exact int64;
-* PQ codebooks train on residuals with the pq.py fused-Lloyd shape
+* PQ codebooks train on residuals with the same loop as pq.py
   (init = the K globally-smallest vec_ids' residual sub-vectors);
 * probe rule: the nprobe lists with smallest exact-int
   ||q - centroid||^2, ties toward the smaller list id;
@@ -27,8 +30,9 @@ bit-for-bit:
   exact int64 (residuals ~2e6/dim, 64 dims -> ~3e14, far inside int64).
 
 Scale shape:
-* training: kmeans_fit + a fused residual-PQ Lloyd — every pass reduces
-  batches to O(K*D) integer partials; the corpus never shuffles.
+* training: two ``lloyd_fit`` runs (coarse, then residual PQ) — every
+  pass reduces batches to O(K*D) integer partials; the corpus never
+  shuffles.
 * build: encode is a shuffle-free map (coarse + books ride in the
   closure, O((n_lists + M*K) * D) ints); the ONE exchange is the
   list->partition groupby; segments are (list_id, vec_id)-sorted with
@@ -53,8 +57,10 @@ import ray.data
 
 from ..state import manifest as mf
 from ..util import dataset_to_table
-from .ann import _batch_matrix
-from .kmeans import KM_SCALE, _assign_ids, _quantize, kmeans_fit
+from .ann import _batch_matrix, clamp_nprobe
+from .kmeans import _assign_ids, _quantize, kmeans_fit, lloyd_fit
+from .pq import (_adc_tables, _candidates, _code_matrix, _encode_codes,
+                 _merge_topk)
 
 IVFPQ_FORMAT_VERSION = 1
 IVFPQ_NLISTS = 4   # coarse lists
@@ -63,13 +69,6 @@ IVFPQ_M = 4        # PQ subspaces (on residuals)
 IVFPQ_K = 8        # codes per subspace
 IVFPQ_RITERS = 2   # residual-PQ Lloyd iterations
 IVFPQ_NPROBE = 2   # default probed lists
-
-
-def _sub_slices(dim: int, m: int) -> list[tuple[int, int]]:
-    if dim % m != 0:
-        raise ValueError(f"dim {dim} not divisible by {m} subspaces")
-    w = dim // m
-    return [(s * w, (s + 1) * w) for s in range(m)]
 
 
 def _resid_rows(batch: pa.Table, cn: np.ndarray, vec_col: str,
@@ -93,101 +92,20 @@ def ivfpq_train(
     r_iters: int = IVFPQ_RITERS,
 ) -> tuple[list[list[int]], list[list[list[int]]]]:
     """Fit (coarse centroids, residual PQ codebooks), both Python-int
-    x1e6. Coarse = the pinned kmeans_fit; the residual PQ runs the
-    fused-Lloyd shape of pq.pq_train with residual computation inline
-    (residuals are already exact ints — re-quantizing them through the
-    float x1e6 path would corrupt them, hence no pq_train reuse)."""
+    x1e6. Coarse = the pinned kmeans_fit; the residual PQ is the same
+    ``lloyd_fit`` as pq_train with the residual row transform: rows are
+    q(x) - coarse[list(x)], exact ints, never re-quantized (init = the K
+    globally-smallest vec_ids' residual sub-vectors)."""
     coarse = kmeans_fit(ds, vec_col=vec_col, id_col=id_col, k=n_lists,
                         iterations=c_iters)
     cn = np.asarray(coarse, dtype=np.int64)
-    dim = cn.shape[1]
-    slices = _sub_slices(dim, m)
 
-    # --- init: the k globally-smallest vec_ids' residual sub-vectors ---
-    def initial(batch: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "vid": pa.array([], pa.int64()),
-            "rv": pa.array([], pa.list_(pa.int64())),
-        })
-        if batch.num_rows == 0:
-            return empty
+    def rows(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
         ids, _, r = _resid_rows(batch, cn, vec_col, id_col)
-        take = np.argsort(ids, kind="stable")[:k]
-        return pa.table({
-            "vid": pa.array(ids[take], pa.int64()),
-            "rv": pa.array(list(r[take]), pa.list_(pa.int64())),
-        })
+        return ids, r
 
-    part = dataset_to_table(
-        ds.map_batches(initial, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    if part.num_rows < k:
-        raise ValueError(f"ivfpq_train needs >= {k} rows, got {part.num_rows}")
-    vids = np.asarray(part.column("vid").to_pylist(), dtype=np.int64)
-    order = np.argsort(vids, kind="stable")[:k]
-    rvs = part.column("rv").to_pylist()
-    full = [[int(x) for x in rvs[i]] for i in order]
-    books: list[list[list[int]]] = [
-        [row[lo:hi] for row in full] for lo, hi in slices
-    ]
-
-    # --- fused Lloyd over residuals: one pass covers all subspaces ---
-    for _ in range(r_iters):
-        bn = [np.asarray(b, dtype=np.int64) for b in books]
-
-        def partials(batch: pa.Table, bn=bn) -> pa.Table:
-            empty = pa.table({
-                "sub": pa.array([], pa.int64()),
-                "c": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.list_(pa.int64())),
-            })
-            if batch.num_rows == 0:
-                return empty
-            _, _, r = _resid_rows(batch, cn, vec_col, id_col)
-            subs, cs, ns, ss = [], [], [], []
-            for si, (lo, hi) in enumerate(slices):
-                rm = r[:, lo:hi]
-                assign = _assign_ids(rm, bn[si])
-                counts = np.bincount(assign, minlength=k)
-                sums = np.zeros((k, hi - lo), dtype=np.int64)
-                np.add.at(sums, assign, rm)
-                keep = counts > 0
-                idx = np.arange(k, dtype=np.int64)[keep]
-                subs.append(np.full(idx.size, si, dtype=np.int64))
-                cs.append(idx)
-                ns.append(counts[keep].astype(np.int64))
-                ss.extend(list(sums[keep]))
-            return pa.table({
-                "sub": pa.array(np.concatenate(subs)),
-                "c": pa.array(np.concatenate(cs)),
-                "n": pa.array(np.concatenate(ns)),
-                "s": pa.array(ss, pa.list_(pa.int64())),
-            })
-
-        tbl = dataset_to_table(
-            ds.map_batches(partials, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        )
-        # unbounded Python-int fold (same rationale as kmeans_fit)
-        n_by = [[0] * k for _ in range(m)]
-        s_by = [[[0] * (hi - lo) for _ in range(k)] for lo, hi in slices]
-        for sub, c, n, s in zip(tbl.column("sub").to_pylist(),
-                                tbl.column("c").to_pylist(),
-                                tbl.column("n").to_pylist(),
-                                tbl.column("s").to_pylist()):
-            n_by[sub][c] += n
-            row = s_by[sub][c]
-            for i, v in enumerate(s):
-                row[i] += v
-        books = [
-            [
-                [s_by[si][c][i] // n_by[si][c] for i in range(hi - lo)]
-                if n_by[si][c] > 0 else books[si][c]
-                for c in range(k)
-            ]
-            for si, (lo, hi) in enumerate(slices)
-        ]
+    books = lloyd_fit(ds, rows, k=k, m=m, iterations=r_iters,
+                      name="ivfpq_train")
     return coarse, books
 
 
@@ -203,7 +121,6 @@ def ivfpq_encode(
     coarse + books ride in the closure (O((n_lists + M*K) * D) ints)."""
     cn = np.asarray(coarse, dtype=np.int64)
     bn = [np.asarray(b, dtype=np.int64) for b in books]
-    slices = _sub_slices(cn.shape[1], len(bn))
 
     def encode(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -213,15 +130,11 @@ def ivfpq_encode(
                 "codes": pa.array([], pa.list_(pa.int64())),
             })
         ids, lists, r = _resid_rows(batch, cn, vec_col, id_col)
-        cols = [
-            _assign_ids(r[:, lo:hi], bn[si]) + 1
-            for si, (lo, hi) in enumerate(slices)
-        ]
-        codes = np.stack(cols, axis=1).astype(np.int64)
         return pa.table({
             "vec_id": pa.array(ids, pa.int64()),
             "list_id": pa.array((lists + 1).astype(np.int32), pa.int32()),
-            "codes": pa.array(list(codes), pa.list_(pa.int64())),
+            "codes": pa.array(list(_encode_codes(r, bn)),
+                              pa.list_(pa.int64())),
         })
 
     return ds.map_batches(encode, batch_format="pyarrow",
@@ -357,20 +270,14 @@ def ivfpq_topk(
     so parquet stats prune most of the skip). The (nq, nprobe, M, K)
     distance-table tensor rides via ray.put — no vector data ships."""
     meta = mf.load_meta(out_dir)
-    if not mf.is_complete(out_dir):
-        raise FileNotFoundError(f"IVFPQ index at {out_dir} is not complete")
     coarse, books = load_ivfpq_model(out_dir)
     cn = np.asarray(coarse, dtype=np.int64)
     bn = [np.asarray(b, dtype=np.int64) for b in books]
     m = len(bn)
-    kk_codes = bn[0].shape[0]
-    dim = cn.shape[1]
-    slices = _sub_slices(dim, m)
     n_lists = cn.shape[0]
-    nprobe = n_lists if nprobe is None else min(nprobe, n_lists)
+    nprobe = clamp_nprobe(nprobe, n_lists)
 
-    qm = np.floor(np.asarray(query_vectors, dtype=np.float64)
-                  * KM_SCALE + 0.5).astype(np.int64)
+    qm = _quantize(np.asarray(query_vectors, dtype=np.float64))
     nq = qm.shape[0]
     # probe selection: exact ||q - c||^2, ties toward the smaller list
     diff = qm[:, None, :] - cn[None, :, :]
@@ -381,62 +288,34 @@ def ivfpq_topk(
     ])  # (nq, nprobe) of 0-based lists
 
     # dtab[qi, slot, si, code] = ||(q - coarse[list])_sub - book||^2
-    dtab = np.zeros((nq, nprobe, m, kk_codes), dtype=np.int64)
-    for qi in range(nq):
-        for slot in range(nprobe):
-            r = qm[qi] - cn[probe[qi, slot]]
-            for si, (lo, hi) in enumerate(slices):
-                d = r[lo:hi][None, :] - bn[si]
-                dtab[qi, slot, si, :] = np.einsum("cd,cd->c", d, d)
+    resid = (qm[:, None, :] - cn[probe]).reshape(nq * nprobe, cn.shape[1])
+    dtab = _adc_tables(resid, bn).reshape(nq, nprobe, m, bn[0].shape[0])
     # slot_of[qi, list] = probe slot or -1
     slot_of = np.full((nq, n_lists), -1, dtype=np.int64)
     for qi in range(nq):
         slot_of[qi, probe[qi]] = np.arange(nprobe)
     ship = ray.put((dtab, slot_of))
 
-    probed_lists_1b = np.unique(probe) + 1
-    parts = np.unique((probed_lists_1b - 1) % meta["num_partitions"])
     # a partition whose every coarse list is EMPTY legitimately has no
-    # segment file (groupby only yields existing groups) — consult the
-    # meta's parts_built ledger instead of demanding a file per probed
-    # partition, and only then treat absence as corruption
-    built = set(int(p) for p in meta.get("parts_built", []))
-    paths = [mf.segment_path(out_dir, int(p)) for p in parts if int(p) in built]
-    missing = [p for p in paths if not os.path.exists(p)]
-    if missing:
-        raise FileNotFoundError(
-            f"IVFPQ index {out_dir} is missing {len(missing)} built "
-            f"segment(s): {missing[:3]}"
-        )
+    # segment file (groupby only yields existing groups); the manifest
+    # helper skips partitions outside parts_built and raises on a
+    # missing built one
+    parts = np.unique(np.unique(probe) % meta["num_partitions"])
+    paths = mf.built_segment_paths(out_dir, meta, parts)
     if not paths:
-        return pa.table({
-            "query_id": pa.array([], pa.int64()),
-            "rank": pa.array([], pa.int32()),
-            "vec_id": pa.array([], pa.int64()),
-            "dist": pa.array([], pa.int64()),
-        })
+        return _merge_topk(_candidates([], [], []), nq, k)
 
     subs = np.arange(m)
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "query_id": pa.array([], pa.int64()),
-            "vec_id": pa.array([], pa.int64()),
-            "dist": pa.array([], pa.int64()),
-        })
         if batch.num_rows == 0:
-            return empty
+            return _candidates([], [], [])
         dt, so = ray.get(ship)
         lists0 = batch.column("list_id").to_numpy(
             zero_copy_only=False).astype(np.int64) - 1
         ids = batch.column("vec_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
-        codes_col = batch.column("codes")
-        if isinstance(codes_col, pa.ChunkedArray):
-            codes_col = codes_col.combine_chunks()
-        flat = np.asarray(codes_col.flatten().to_numpy(
-            zero_copy_only=False), dtype=np.int64)
-        codes = flat.reshape(len(ids), m) - 1
+        codes = _code_matrix(batch, m)
         out_q, out_id, out_d = [], [], []
         for qi in range(nq):
             slots = so[qi][lists0]
@@ -453,35 +332,13 @@ def ivfpq_topk(
             out_q.extend([qi] * len(idx))
             out_id.extend(ids_q[idx].tolist())
             out_d.extend(d[idx].tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "vec_id": pa.array(out_id, pa.int64()),
-            "dist": pa.array(out_d, pa.int64()),
-        })
+        return _candidates(out_q, out_id, out_d)
 
     tbl = dataset_to_table(
         ray.data.read_parquet(paths)
         .map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
     )
-    qids = tbl.column("query_id").to_numpy(zero_copy_only=False)
-    vids = tbl.column("vec_id").to_numpy(zero_copy_only=False)
-    dists = tbl.column("dist").to_numpy(zero_copy_only=False)
-    out = {"query_id": [], "rank": [], "vec_id": [], "dist": []}
-    for qi in range(nq):
-        sel = qids == qi
-        ids_q, d_q = vids[sel], dists[sel]
-        idx = np.lexsort((ids_q, d_q))[:k]
-        for r, j in enumerate(idx, start=1):
-            out["query_id"].append(qi)
-            out["rank"].append(r)
-            out["vec_id"].append(int(ids_q[j]))
-            out["dist"].append(int(d_q[j]))
-    return pa.table({
-        "query_id": pa.array(out["query_id"], pa.int64()),
-        "rank": pa.array(out["rank"], pa.int32()),
-        "vec_id": pa.array(out["vec_id"], pa.int64()),
-        "dist": pa.array(out["dist"], pa.int64()),
-    })
+    return _merge_topk(tbl, nq, k)
 
 
 # --- DuckDB oracle: coarse chain + residual PQ chains + probed ADC ----

@@ -17,14 +17,22 @@ block layout and fold order:
     oracle). An empty cluster carries its previous centroid unchanged.
 * Final assignment runs once more against the converged centroids.
 
+One loop, three row transforms: ``lloyd_fit`` is the only Lloyd
+iteration in the vector pipelines. It fits M per-subspace codebooks over
+whatever exact-int rows its ``rows_fn`` yields; ``kmeans_fit`` is M = 1
+over quantized rows, ``pq.pq_train`` is M subspaces over quantized rows,
+and ``ivfpq.ivfpq_train`` is M subspaces over residuals to the coarse
+centroid (Jégou et al.'s IVFADC: the same product quantizer on
+residuals).
+
 Scale shape: each Lloyd step is ONE streaming pass — per batch the partial
-is (counts[K], sums[K x dim]) int64, so O(K * dim) leaves a worker and the
-corpus never shuffles; the driver fold + update run in unbounded Python
-ints (per-batch partials are int64-safe, the global fold at 10^12 rows is
-not). Centroids (K * dim ints) ride to workers in the task closure.
-``iterations + 2`` dataset passes total (init min-k, the steps, final
-assign) — the classic Lloyd's I/O profile; cache the quantized matrix
-upstream if passes dominate.
+is (counts[M x K], sums[K x dim]) int64, so O(K * dim) leaves a worker and
+the corpus never shuffles; the driver fold + update run in unbounded
+Python ints (per-batch partials are int64-safe, the global fold at 10^12
+rows is not). Centroids (K * dim ints) ride to workers in the task
+closure. ``iterations + 2`` dataset passes total (init min-k, the steps,
+final assign) — the classic Lloyd's I/O profile; cache the quantized
+matrix upstream if passes dominate.
 """
 
 from __future__ import annotations
@@ -46,17 +54,45 @@ def _quantize(mat: np.ndarray) -> np.ndarray:
     return np.floor(mat * KM_SCALE + 0.5).astype(np.int64)
 
 
-def kmeans_fit(
+def sub_slices(dim: int, m: int) -> list[tuple[int, int]]:
+    """Contiguous subspace [lo, hi) column ranges; dim must divide by m."""
+    if dim % m != 0:
+        raise ValueError(f"dim {dim} not divisible by {m} subspaces")
+    w = dim // m
+    return [(s * w, (s + 1) * w) for s in range(m)]
+
+
+def _quantized_rows(vec_col: str, id_col: str):
+    """The k-means / PQ row transform: batch -> (ids, quantized int64
+    matrix)."""
+    def rows(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+        return ids, _quantize(_batch_matrix(batch, vec_col))
+
+    return rows
+
+
+def lloyd_fit(
     ds: ray.data.Dataset,
+    rows_fn,
     *,
-    vec_col: str = "embedding",
-    id_col: str = "vec_id",
-    k: int = KM_K,
-    iterations: int = KM_ITERS,
-) -> list[list[int]]:
-    """Fit pinned-integer k-means; returns K centroids as Python-int rows
-    (scale x1e6), cluster c = row index + 1."""
-    # --- init: global k smallest ids (per-batch min-k partials) ---
+    k: int,
+    m: int,
+    iterations: int,
+    name: str,
+) -> list[list[list[int]]]:
+    """THE pinned-integer Lloyd loop: M per-subspace codebooks of K
+    Python-int rows over the int64 rows ``rows_fn(batch) -> (ids,
+    matrix)`` yields. M = 1 is plain k-means; k-means, PQ and IVF-PQ
+    differ only in ``rows_fn`` (quantize, or residual to the coarse
+    centroid). ``name`` is the trainer the too-few-rows error names.
+
+    One init pass (the K globally smallest ids' rows, per-batch min-K
+    partials) shared by every subspace, then ONE pass per iteration
+    covering all M subspaces (a batch partial is M*K counts + M*K*D/M
+    sums = O(K*D) ints), so M subspaces cost ``iterations + 1`` passes,
+    the same I/O as one k-means."""
+    # --- init: the k globally smallest ids' full rows ---
     def initial(batch: pa.Table) -> pa.Table:
         empty = pa.table({
             "vid": pa.array([], pa.int64()),
@@ -64,8 +100,7 @@ def kmeans_fit(
         })
         if batch.num_rows == 0:
             return empty
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        q = _quantize(_batch_matrix(batch, vec_col))
+        ids, q = rows_fn(batch)
         take = np.argsort(ids, kind="stable")[:k]
         return pa.table({
             "vid": pa.array(ids[take], pa.int64()),
@@ -75,38 +110,47 @@ def kmeans_fit(
     part = dataset_to_table(
         ds.map_batches(initial, batch_format="pyarrow", zero_copy_batch=True)
     )
-    if part.num_rows == 0:
-        raise ValueError("k-means on an empty dataset")
+    if part.num_rows < k:
+        raise ValueError(f"{name} needs >= {k} rows, got {part.num_rows}")
     vids = np.asarray(part.column("vid").to_pylist(), dtype=np.int64)
     order = np.argsort(vids, kind="stable")[:k]
     qvs = part.column("qv").to_pylist()
-    cents = [[int(x) for x in qvs[i]] for i in order]
-    if len(cents) < k:
-        raise ValueError(f"k-means needs >= {k} rows, got {len(cents)}")
-    dim = len(cents[0])
+    full = [[int(x) for x in qvs[i]] for i in order]
+    slices = sub_slices(len(full[0]), m)
+    books = [[row[lo:hi] for row in full] for lo, hi in slices]
 
-    # --- Lloyd steps: one streaming pass each ---
+    # --- Lloyd steps: one streaming pass each covers every subspace ---
     for _ in range(iterations):
-        cn = np.asarray(cents, dtype=np.int64)
+        bn = [np.asarray(b, dtype=np.int64) for b in books]
 
-        def partials(batch: pa.Table, cn: np.ndarray = cn) -> pa.Table:
+        def partials(batch: pa.Table, bn=bn) -> pa.Table:
             empty = pa.table({
+                "sub": pa.array([], pa.int64()),
                 "c": pa.array([], pa.int64()),
                 "n": pa.array([], pa.int64()),
                 "s": pa.array([], pa.list_(pa.int64())),
             })
             if batch.num_rows == 0:
                 return empty
-            q = _quantize(_batch_matrix(batch, vec_col))
-            assign = _assign_ids(q, cn)
-            counts = np.bincount(assign, minlength=k)
-            sums = np.zeros((k, dim), dtype=np.int64)
-            np.add.at(sums, assign, q)
-            keep = counts > 0
+            _, q = rows_fn(batch)
+            subs, cs, ns, ss = [], [], [], []
+            for si, (lo, hi) in enumerate(slices):
+                qm = q[:, lo:hi]
+                assign = _assign_ids(qm, bn[si])
+                counts = np.bincount(assign, minlength=k)
+                sums = np.zeros((k, hi - lo), dtype=np.int64)
+                np.add.at(sums, assign, qm)
+                keep = counts > 0
+                idx = np.arange(k, dtype=np.int64)[keep]
+                subs.append(np.full(idx.size, si, dtype=np.int64))
+                cs.append(idx)
+                ns.append(counts[keep].astype(np.int64))
+                ss.extend(list(sums[keep]))
             return pa.table({
-                "c": pa.array(np.arange(k, dtype=np.int64)[keep]),
-                "n": pa.array(counts[keep].astype(np.int64)),
-                "s": pa.array(list(sums[keep]), pa.list_(pa.int64())),
+                "sub": pa.array(np.concatenate(subs)),
+                "c": pa.array(np.concatenate(cs)),
+                "n": pa.array(np.concatenate(ns)),
+                "s": pa.array(ss, pa.list_(pa.int64())),
             })
 
         tbl = dataset_to_table(
@@ -114,22 +158,40 @@ def kmeans_fit(
                            zero_copy_batch=True)
         )
         # unbounded Python-int fold (int64 would overflow at extreme N)
-        n_by_c = [0] * k
-        s_by_c = [[0] * dim for _ in range(k)]
-        cs = tbl.column("c").to_pylist()
-        ns = tbl.column("n").to_pylist()
-        ss = tbl.column("s").to_pylist()
-        for c, n, s in zip(cs, ns, ss):
-            n_by_c[c] += n
-            row = s_by_c[c]
+        n_by = [[0] * k for _ in range(m)]
+        s_by = [[[0] * (hi - lo) for _ in range(k)] for lo, hi in slices]
+        for sub, c, n, s in zip(tbl.column("sub").to_pylist(),
+                                tbl.column("c").to_pylist(),
+                                tbl.column("n").to_pylist(),
+                                tbl.column("s").to_pylist()):
+            n_by[sub][c] += n
+            row = s_by[sub][c]
             for i, v in enumerate(s):
                 row[i] += v
-        cents = [
-            [s_by_c[c][i] // n_by_c[c] for i in range(dim)]
-            if n_by_c[c] > 0 else cents[c]
-            for c in range(k)
+        # floor-div update; an empty cluster carries its centroid
+        books = [
+            [
+                [s_by[si][c][i] // n_by[si][c] for i in range(hi - lo)]
+                if n_by[si][c] > 0 else books[si][c]
+                for c in range(k)
+            ]
+            for si, (lo, hi) in enumerate(slices)
         ]
-    return cents
+    return books
+
+
+def kmeans_fit(
+    ds: ray.data.Dataset,
+    *,
+    vec_col: str = "embedding",
+    id_col: str = "vec_id",
+    k: int = KM_K,
+    iterations: int = KM_ITERS,
+) -> list[list[int]]:
+    """Fit pinned-integer k-means; returns K centroids as Python-int rows
+    (scale x1e6), cluster c = row index + 1 (``lloyd_fit`` at M = 1)."""
+    return lloyd_fit(ds, _quantized_rows(vec_col, id_col), k=k, m=1,
+                     iterations=iterations, name="kmeans_fit")[0]
 
 
 def _assign_ids(q: np.ndarray, cn: np.ndarray) -> np.ndarray:

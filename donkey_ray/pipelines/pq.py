@@ -9,9 +9,10 @@ a 64-dim float vector compresses 64x), and answer queries by Asymmetric
 Distance Computation (ADC): precompute the query's K distances per
 subspace once, then score any stored vector with M table lookups.
 
-Everything reuses the pinned-integer k-means spec (pipelines/kmeans.py)
-per subspace so a DuckDB oracle mirrors training, codes AND search
-bit-for-bit:
+Training is the one pinned-integer Lloyd loop (``kmeans.lloyd_fit``)
+over quantized rows with M subspaces — k-means is the same loop at M = 1
+and IVF-PQ the same loop over residual rows — so a DuckDB oracle mirrors
+training, codes AND search bit-for-bit:
 
 * inputs quantize half-up x1e6 (int64);
 * per-subspace init = the K globally-smallest ``vec_id`` rows'
@@ -23,13 +24,15 @@ bit-for-bit:
   hash-exact, no float tolerance anywhere.
 
 Scale shape:
-* ``pq_train`` is FUSED: one streaming pass per Lloyd iteration covers
-  ALL M subspaces (a per-batch partial is M*K counts + M*K*D/M sums =
-  O(K*D) ints — independent of batch and corpus size). M separate
-  k-means runs would cost M * iterations passes; fused costs
-  ``iterations + 2`` total, the same I/O as one k-means.
+* ``pq_train`` is FUSED (``lloyd_fit``): one streaming pass per Lloyd
+  iteration covers ALL M subspaces (a per-batch partial is M*K counts +
+  M*K*D/M sums = O(K*D) ints — independent of batch and corpus size).
+  M separate k-means runs would cost M * iterations passes; fused costs
+  ``iterations + 1`` total, the same I/O as one k-means fit.
 * ``pq_encode`` is a shuffle-free map (codebooks ride in the closure,
-  O(K*D) ints).
+  O(K*D) ints); its per-subspace encoder ``_encode_codes`` is also
+  IVF-PQ's, as are the ADC tables, the code decode and the driver
+  top-k merge.
 * ``pq_search`` streams the code table; the per-query distance tables
   (M*K ints) ride in the closure, each batch does M vectorized lookups
   + one per-batch top-k, and only O(batches * k) rows reach the driver
@@ -46,19 +49,12 @@ import ray.data
 from ..state import manifest as mf
 from ..util import dataset_to_table
 from .ann import _batch_matrix
-from .kmeans import KM_SCALE, _assign_ids, _quantize
+from .kmeans import (KM_SCALE, _assign_ids, _quantize, _quantized_rows,
+                     lloyd_fit, sub_slices)
 
 PQ_M = 4       # subspaces
 PQ_K = 16      # codes per subspace
 PQ_ITERS = 2   # Lloyd iterations
-
-
-def _sub_slices(dim: int, m: int) -> list[tuple[int, int]]:
-    """Contiguous subspace [lo, hi) column ranges; dim must divide by m."""
-    if dim % m != 0:
-        raise ValueError(f"dim {dim} not divisible by {m} subspaces")
-    w = dim // m
-    return [(s * w, (s + 1) * w) for s in range(m)]
 
 
 def pq_train(
@@ -70,98 +66,19 @@ def pq_train(
     k: int = PQ_K,
     iterations: int = PQ_ITERS,
 ) -> list[list[list[int]]]:
-    """Fit M per-subspace codebooks (each K x D/M Python ints, x1e6).
+    """Fit M per-subspace codebooks (each K x D/M Python ints, x1e6):
+    the fused ``lloyd_fit`` over quantized rows."""
+    return lloyd_fit(ds, _quantized_rows(vec_col, id_col), k=k, m=m,
+                     iterations=iterations, name="pq_train")
 
-    Fused Lloyd: every iteration is ONE dataset pass emitting per-batch
-    (sub, c, n, s) partials for all subspaces together."""
-    # --- shared init pass: the k globally smallest ids' full vectors ---
-    def initial(batch: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "vid": pa.array([], pa.int64()),
-            "qv": pa.array([], pa.list_(pa.int64())),
-        })
-        if batch.num_rows == 0:
-            return empty
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        q = _quantize(_batch_matrix(batch, vec_col))
-        take = np.argsort(ids, kind="stable")[:k]
-        return pa.table({
-            "vid": pa.array(ids[take], pa.int64()),
-            "qv": pa.array(list(q[take]), pa.list_(pa.int64())),
-        })
 
-    part = dataset_to_table(
-        ds.map_batches(initial, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    if part.num_rows < k:
-        raise ValueError(f"pq_train needs >= {k} rows, got {part.num_rows}")
-    vids = np.asarray(part.column("vid").to_pylist(), dtype=np.int64)
-    order = np.argsort(vids, kind="stable")[:k]
-    qvs = part.column("qv").to_pylist()
-    full = [[int(x) for x in qvs[i]] for i in order]
-    dim = len(full[0])
-    slices = _sub_slices(dim, m)
-    books: list[list[list[int]]] = [
-        [row[lo:hi] for row in full] for lo, hi in slices
-    ]
-
-    for _ in range(iterations):
-        bn = [np.asarray(b, dtype=np.int64) for b in books]
-
-        def partials(batch: pa.Table, bn=bn) -> pa.Table:
-            empty = pa.table({
-                "sub": pa.array([], pa.int64()),
-                "c": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "s": pa.array([], pa.list_(pa.int64())),
-            })
-            if batch.num_rows == 0:
-                return empty
-            q = _quantize(_batch_matrix(batch, vec_col))
-            subs, cs, ns, ss = [], [], [], []
-            for si, (lo, hi) in enumerate(slices):
-                qm = q[:, lo:hi]
-                assign = _assign_ids(qm, bn[si])
-                counts = np.bincount(assign, minlength=k)
-                sums = np.zeros((k, hi - lo), dtype=np.int64)
-                np.add.at(sums, assign, qm)
-                keep = counts > 0
-                idx = np.arange(k, dtype=np.int64)[keep]
-                subs.append(np.full(idx.size, si, dtype=np.int64))
-                cs.append(idx)
-                ns.append(counts[keep].astype(np.int64))
-                ss.extend(list(sums[keep]))
-            return pa.table({
-                "sub": pa.array(np.concatenate(subs)),
-                "c": pa.array(np.concatenate(cs)),
-                "n": pa.array(np.concatenate(ns)),
-                "s": pa.array(ss, pa.list_(pa.int64())),
-            })
-
-        tbl = dataset_to_table(
-            ds.map_batches(partials, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        )
-        # unbounded Python-int fold (same rationale as kmeans_fit)
-        n_by = [[0] * k for _ in range(m)]
-        s_by = [[[0] * (hi - lo) for _ in range(k)] for lo, hi in slices]
-        for sub, c, n, s in zip(tbl.column("sub").to_pylist(),
-                                tbl.column("c").to_pylist(),
-                                tbl.column("n").to_pylist(),
-                                tbl.column("s").to_pylist()):
-            n_by[sub][c] += n
-            row = s_by[sub][c]
-            for i, v in enumerate(s):
-                row[i] += v
-        books = [
-            [
-                [s_by[si][c][i] // n_by[si][c] for i in range(hi - lo)]
-                if n_by[si][c] > 0 else books[si][c]
-                for c in range(k)
-            ]
-            for si, (lo, hi) in enumerate(slices)
-        ]
-    return books
+def _encode_codes(rows: np.ndarray, bn: list[np.ndarray]) -> np.ndarray:
+    """(n, M) int64 codes, 1-based (the k-means cluster convention): per
+    subspace, the exact-int nearest codeword of the row's slice."""
+    slices = sub_slices(rows.shape[1], len(bn))
+    return np.stack([
+        _assign_ids(rows[:, lo:hi], b) + 1 for b, (lo, hi) in zip(bn, slices)
+    ], axis=1).astype(np.int64)
 
 
 def pq_encode(
@@ -175,8 +92,6 @@ def pq_encode(
     cluster convention): (vec_id, codes list<int64> length M). Pure map;
     the codebooks (O(K*D) ints) ride in the closure."""
     bn = [np.asarray(b, dtype=np.int64) for b in books]
-    dim = sum(b.shape[1] for b in bn)
-    slices = _sub_slices(dim, len(bn))
 
     def encode(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -184,12 +99,7 @@ def pq_encode(
                 "vec_id": pa.array([], pa.int64()),
                 "codes": pa.array([], pa.list_(pa.int64())),
             })
-        q = _quantize(_batch_matrix(batch, vec_col))
-        cols = [
-            _assign_ids(q[:, lo:hi], bn[si]) + 1
-            for si, (lo, hi) in enumerate(slices)
-        ]
-        codes = np.stack(cols, axis=1).astype(np.int64)
+        codes = _encode_codes(_quantize(_batch_matrix(batch, vec_col)), bn)
         return pa.table({
             "vec_id": batch.column(id_col).cast(pa.int64()),
             "codes": pa.array(list(codes), pa.list_(pa.int64())),
@@ -197,6 +107,16 @@ def pq_encode(
 
     return ds.map_batches(encode, batch_format="pyarrow",
                           zero_copy_batch=True)
+
+
+def _code_matrix(batch: pa.Table, m: int) -> np.ndarray:
+    """A batch's ``codes`` list column as an (n, M) 0-based int64 matrix."""
+    col = batch.column("codes")
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    flat = np.asarray(col.flatten().to_numpy(zero_copy_only=False),
+                      dtype=np.int64)
+    return flat.reshape(batch.num_rows, m) - 1
 
 
 def pq_codes_unnested(encoded: ray.data.Dataset) -> ray.data.Dataset:
@@ -208,90 +128,41 @@ def pq_codes_unnested(encoded: ray.data.Dataset) -> ray.data.Dataset:
                 "sub": pa.array([], pa.int64()),
                 "code": pa.array([], pa.int64()),
             })
-        codes = batch.column("codes")
-        m = len(codes[0].as_py())
+        m = len(batch.column("codes")[0].as_py())
         ids = batch.column("vec_id").to_numpy(zero_copy_only=False)
-        flat = np.asarray(
-            codes.combine_chunks().flatten().to_numpy(zero_copy_only=False),
-            dtype=np.int64,
-        ) if isinstance(codes, pa.ChunkedArray) else np.asarray(
-            codes.flatten().to_numpy(zero_copy_only=False), dtype=np.int64)
         return pa.table({
             "vec_id": pa.array(np.repeat(ids, m).astype(np.int64)),
             "sub": pa.array(np.tile(np.arange(1, m + 1), len(ids))
                             .astype(np.int64)),
-            "code": pa.array(flat),
+            "code": pa.array((_code_matrix(batch, m) + 1).ravel()),
         })
 
     return encoded.map_batches(unnest, batch_format="pyarrow",
                                zero_copy_batch=True)
 
 
-def pq_search(
-    encoded: ray.data.Dataset,
-    books: list[list[list[int]]],
-    query_vectors: np.ndarray,
-    *,
-    k: int = 10,
-) -> pa.Table:
-    """ADC top-k per query over the code table: per query, one M x K
-    integer distance table; per batch, M vectorized lookups + local
-    top-k; tiny driver merge. Returns (query_id, rank, vec_id, dist)
-    with EXACT int64 distances (ties dist asc, vec_id asc).
+def _adc_tables(rows: np.ndarray, bn: list[np.ndarray]) -> np.ndarray:
+    """(n, M, K) exact int64 ADC tables: [r, m, c] = ||row_m - book_m[c]||^2
+    over the row's M subspace slices."""
+    tabs = []
+    for b, (lo, hi) in zip(bn, sub_slices(rows.shape[1], len(bn))):
+        diff = rows[:, None, lo:hi] - b[None, :, :]
+        tabs.append(np.einsum("qcd,qcd->qc", diff, diff))
+    return np.stack(tabs, axis=1)
 
-    ADC approximates true distance by sum of per-subspace distances to
-    the assigned centroids — recall is pytest-gated against brute
-    force; determinism is exact by construction."""
-    bn = [np.asarray(b, dtype=np.int64) for b in books]
-    m = len(bn)
-    dim = sum(b.shape[1] for b in bn)
-    slices = _sub_slices(dim, m)
-    qm = np.floor(np.asarray(query_vectors, dtype=np.float64)
-                  * KM_SCALE + 0.5).astype(np.int64)
-    nq = qm.shape[0]
-    # dtab[qi, si, c] = ||q_sub - centroid||^2, exact int64
-    dtab = np.zeros((nq, m, bn[0].shape[0]), dtype=np.int64)
-    for si, (lo, hi) in enumerate(slices):
-        diff = qm[:, None, lo:hi] - bn[si][None, :, :]
-        dtab[:, si, :] = np.einsum("qcd,qcd->qc", diff, diff)
-    dtab_ref = ray.put(dtab)
 
-    def local_topk(batch: pa.Table) -> pa.Table:
-        empty = pa.table({
-            "query_id": pa.array([], pa.int64()),
-            "vec_id": pa.array([], pa.int64()),
-            "dist": pa.array([], pa.int64()),
-        })
-        if batch.num_rows == 0:
-            return empty
-        dt = ray.get(dtab_ref)
-        ids = batch.column("vec_id").to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        codes_col = batch.column("codes")
-        if isinstance(codes_col, pa.ChunkedArray):
-            codes_col = codes_col.combine_chunks()
-        flat = np.asarray(codes_col.flatten().to_numpy(
-            zero_copy_only=False), dtype=np.int64)
-        codes = flat.reshape(len(ids), m) - 1  # back to 0-based
-        out_q, out_id, out_d = [], [], []
-        kk = min(k, len(ids))
-        subs = np.arange(m)
-        for qi in range(nq):
-            d = dt[qi][subs[None, :], codes].sum(axis=1)
-            idx = np.lexsort((ids, d))[:kk]
-            out_q.extend([qi] * len(idx))
-            out_id.extend(ids[idx].tolist())
-            out_d.extend(d[idx].tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "vec_id": pa.array(out_id, pa.int64()),
-            "dist": pa.array(out_d, pa.int64()),
-        })
+def _candidates(out_q: list, out_id: list, out_d: list) -> pa.Table:
+    """One batch's per-query top-k candidates (query_id, vec_id, dist)."""
+    return pa.table({
+        "query_id": pa.array(out_q, pa.int64()),
+        "vec_id": pa.array(out_id, pa.int64()),
+        "dist": pa.array(out_d, pa.int64()),
+    })
 
-    tbl = dataset_to_table(
-        encoded.map_batches(local_topk, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    )
+
+def _merge_topk(tbl: pa.Table, nq: int, k: int) -> pa.Table:
+    """Driver merge of the batches' candidates to (query_id, rank, vec_id,
+    dist) per query, ties dist asc then vec_id asc."""
     qids = tbl.column("query_id").to_numpy(zero_copy_only=False)
     vids = tbl.column("vec_id").to_numpy(zero_copy_only=False)
     dists = tbl.column("dist").to_numpy(zero_copy_only=False)
@@ -311,6 +182,52 @@ def pq_search(
         "vec_id": pa.array(out["vec_id"], pa.int64()),
         "dist": pa.array(out["dist"], pa.int64()),
     })
+
+
+def pq_search(
+    encoded: ray.data.Dataset,
+    books: list[list[list[int]]],
+    query_vectors: np.ndarray,
+    *,
+    k: int = 10,
+) -> pa.Table:
+    """ADC top-k per query over the code table: per query, one M x K
+    integer distance table; per batch, M vectorized lookups + local
+    top-k; tiny driver merge. Returns (query_id, rank, vec_id, dist)
+    with EXACT int64 distances (ties dist asc, vec_id asc).
+
+    ADC approximates true distance by sum of per-subspace distances to
+    the assigned centroids — recall is pytest-gated against brute
+    force; determinism is exact by construction."""
+    bn = [np.asarray(b, dtype=np.int64) for b in books]
+    m = len(bn)
+    qm = _quantize(np.asarray(query_vectors, dtype=np.float64))
+    nq = qm.shape[0]
+    dtab_ref = ray.put(_adc_tables(qm, bn))  # [qi, si, c], exact int64
+
+    def local_topk(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return _candidates([], [], [])
+        dt = ray.get(dtab_ref)
+        ids = batch.column("vec_id").to_numpy(
+            zero_copy_only=False).astype(np.int64)
+        codes = _code_matrix(batch, m)
+        out_q, out_id, out_d = [], [], []
+        kk = min(k, len(ids))
+        subs = np.arange(m)
+        for qi in range(nq):
+            d = dt[qi][subs[None, :], codes].sum(axis=1)
+            idx = np.lexsort((ids, d))[:kk]
+            out_q.extend([qi] * len(idx))
+            out_id.extend(ids[idx].tolist())
+            out_d.extend(d[idx].tolist())
+        return _candidates(out_q, out_id, out_d)
+
+    tbl = dataset_to_table(
+        encoded.map_batches(local_topk, batch_format="pyarrow",
+                            zero_copy_batch=True)
+    )
+    return _merge_topk(tbl, nq, k)
 
 
 # --- DuckDB oracle: per-subspace k-means chains + ADC, all integer ----
@@ -459,8 +376,6 @@ def build_pq_index(
     queries without touching the raw embeddings."""
     import os
 
-    from ..state import manifest as mf
-
     if mf.is_complete(out_dir):
         return mf.load_meta(out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -515,19 +430,6 @@ def pq_index_topk(
 ) -> pa.Table:
     """ADC top-k against the persisted PQ index: stream the code
     segments (parallel parquet read), books from books.json."""
-    import os
-
-    from ..state import manifest as mf
-
-    meta = mf.load_meta(out_dir)
-    paths = [mf.segment_path(out_dir, p) for p in meta["parts_built"]]
-    missing = [p for p in paths if not os.path.exists(p)]
-    if missing:
-        # silently serving 7/8 of the corpus would be a wrong top-k with
-        # no symptom — a lost code segment is an integrity error
-        raise FileNotFoundError(
-            f"PQ index {out_dir} is missing {len(missing)} code "
-            f"segment(s): {missing[:3]}"
-        )
+    paths = mf.built_segment_paths(out_dir, mf.load_meta(out_dir))
     encoded = ray.data.read_parquet(paths)
     return pq_search(encoded, load_pq_books(out_dir), query_vectors, k=k)

@@ -117,6 +117,27 @@ def mark_complete(out_dir: str) -> None:
     atomic_write_bytes(os.path.join(out_dir, "_SUCCESS"), b"")
 
 
+def built_segment_paths(out_dir: str, meta: dict, parts=None) -> list[str]:
+    """Segment paths a reader of a complete ANN index may serve from:
+    the partitions among ``parts`` (default: all) that are in the meta's
+    ``parts_built``. A partition outside that ledger had no rows (groupby
+    writes no group for it) and is a legitimate empty list. A built
+    partition whose segment is gone raises FileNotFoundError: serving the
+    rest would be a wrong top-k with no symptom."""
+    if not is_complete(out_dir):
+        raise FileNotFoundError(f"index at {out_dir} is not complete")
+    want = {int(p) for p in meta["parts_built"]}
+    if parts is not None:
+        want &= {int(p) for p in parts}
+    paths = [segment_path(out_dir, p) for p in sorted(want)]
+    missing = [p for p in paths if not os.path.exists(p)]
+    if missing:
+        raise FileNotFoundError(
+            f"index {out_dir} is missing {len(missing)} built "
+            f"segment(s): {missing[:3]}")
+    return paths
+
+
 class PartitionSegmentWriter:
     """map_groups callable: one hash partition's rows -> sorted,
     atomically-written (tmp + rename), manifest-tracked segment parquet.

@@ -86,6 +86,39 @@ def test_resume_rebuilds_only_missing_partition(vec_ds, tmp_path):
     assert after == hashes  # byte-identical (deterministic writer)
 
 
+def test_missing_segment_raises(vec_ds, tmp_path):
+    """A built partition whose segment is gone is an integrity error for
+    both IVF readers (ivf_topk and the kNN-eval prober), not an empty
+    list: serving the rest returns a plausible wrong top-k."""
+    from donkey_ray.pipelines.ann import _IVFNeighborProber
+
+    ds, vecs = vec_ds
+    out = str(tmp_path / "ivf")
+    build_ivf_index(ds, out, n_lists=16, num_partitions=4, sample_mod=2)
+    os.unlink(mf.segment_path(out, 1))
+    with pytest.raises(FileNotFoundError, match="missing"):
+        ivf_topk(out, vecs[[0]], k=5, nprobe=None)
+    prober = _IVFNeighborProber(out, 5, None, "embedding", "vec_id", "label")
+    batch = pa.table({
+        "vec_id": pa.array([0], pa.int64()),
+        "label": pa.array([0], pa.int64()),
+        "embedding": pa.array(vecs[[0]].tolist(), pa.list_(pa.float64())),
+    })
+    with pytest.raises(FileNotFoundError, match="missing"):
+        prober(batch)
+
+
+@pytest.mark.parametrize("nprobe", [0, -1])
+def test_nprobe_below_one_raises(built_ivf, nprobe):
+    from donkey_ray.pipelines.ann import _IVFNeighborProber
+
+    _, vecs, out, _ = built_ivf
+    with pytest.raises(ValueError, match="nprobe"):
+        ivf_topk(out, vecs[[0]], k=5, nprobe=nprobe)
+    with pytest.raises(ValueError, match="nprobe"):
+        _IVFNeighborProber(out, 5, nprobe, "embedding", "vec_id", "label")
+
+
 def test_pq_train_encode_search(vec_ds):
     """PQ: (1) fused training equals M independent pinned k-means runs
     over the sliced sub-vectors; (2) codes equal per-subspace integer

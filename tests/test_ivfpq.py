@@ -161,6 +161,13 @@ def test_missing_segment_raises(vec_ds, tmp_path_factory):
         ivfpq_topk(out, vecs[[0]], k=5, nprobe=None)
 
 
+@pytest.mark.parametrize("nprobe", [0, -1])
+def test_nprobe_below_one_raises(built, nprobe):
+    _, vecs, out, _ = built
+    with pytest.raises(ValueError, match="nprobe"):
+        ivfpq_topk(out, vecs[[0]], k=5, nprobe=nprobe)
+
+
 def test_empty_coarse_list_is_served(ray_session, tmp_path):
     """REGRESSION (review finding): a coarse list left empty by k-means
     (collapsed/duplicate-heavy vectors) writes no segment file for its

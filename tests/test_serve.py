@@ -840,6 +840,28 @@ def test_flush_federates_v2_base(served_index, tmp_path):
     assert len(srv.search("zzylivetoken", 10)) >= 3
 
 
+@pytest.mark.parametrize("nprobe", [0, -1])
+def test_http_vsearch_rejects_nprobe_below_one(vector_server, nprobe):
+    """/vsearch passes the body's nprobe to ivf_topk: a count below 1 is
+    the client's 400, not an empty or near-full probe."""
+    from donkey_ray.httpserve import start_http_frontend
+
+    srv_obj, vecs, _ = vector_server
+    http_srv, port = start_http_frontend(vprimary=srv_obj)
+    try:
+        code, res = _http(port, "POST", "/vsearch",
+                          {"vectors": [list(map(float, vecs[0]))], "k": 3,
+                           "nprobe": nprobe})
+        assert code == 400 and "nprobe" in res["error"]
+        code, _ = _http(port, "POST", "/vsearch",
+                        {"vectors": [list(map(float, vecs[0]))], "k": 3,
+                         "nprobe": 1})
+        assert code == 200
+    finally:
+        http_srv.shutdown()
+        http_srv.server_close()
+
+
 def test_http_vector_endpoints(vector_server):
     """Vector-side HTTP surface (donkey's literal insert/search core
     over the wire): vping, vsearch through a VectorRouter (failover
