@@ -36,30 +36,19 @@ def tf_weight(tf, dl, avgdl: float):
 def merge_scored_runs(
     per_ids: "list[np.ndarray]", per_scores: "list[np.ndarray]"
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Accumulate per-term (sorted-unique ids, scores) pairs into one
-    (ids, summed scores) pair by O(n) pairwise sorted merge.
+    """Sum (ids, scores) pairs, ids unique within each pair, into one
+    (sorted ids, summed scores) pair.
 
-    Contributions add in LIST ORDER — the same order a concat + unique +
-    bincount reference would use — so the float64 sums are BIT-identical
-    to that reference (property-pinned in tests). The first pair's score
-    array is copied before mutation when a merge happens; input arrays
-    are never modified."""
-    uniq, sums = per_ids[0], per_scores[0]
-    if len(per_ids) > 1:
-        sums = sums.copy()
-    for ib, sb in zip(per_ids[1:], per_scores[1:]):
-        pos = np.searchsorted(uniq, ib)
-        pc = np.minimum(pos, len(uniq) - 1)
-        matched = uniq[pc] == ib
-        if matched.all():
-            sums[pc] += sb  # pc unique (ib unique) -> direct add
-        else:
-            nm = ~matched
-            if matched.any():
-                sums[pc[matched]] += sb[matched]
-            uniq = np.insert(uniq, pos[nm], ib[nm])
-            sums = np.insert(sums, pos[nm], sb[nm])
-    return uniq, sums
+    bincount adds its weights in input order, so each doc's
+    contributions add in LIST ORDER: the float64 sums are bit-identical
+    to a per-doc accumulation in term order (property-pinned in tests),
+    whatever order the ids come in within a list. One pair is returned
+    as given; input arrays are never modified."""
+    if len(per_ids) == 1:
+        return per_ids[0], per_scores[0]
+    uniq, inv = np.unique(np.concatenate(per_ids), return_inverse=True)
+    return uniq, np.bincount(inv, weights=np.concatenate(per_scores),
+                             minlength=uniq.size)
 
 
 def topk_order(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:

@@ -44,12 +44,7 @@ def segments_as_postings(index_dir: str) -> ray.data.Dataset:
     meta = mf.load_meta(index_dir)
     positional = bool(meta.get("positions"))
     block_size = int(meta.get("block_size", schemas.BLOCK_SIZE))
-    paths = [
-        mf.segment_path(index_dir, p)
-        for p in meta["parts_built"]
-        if os.path.exists(mf.segment_path(index_dir, p))
-    ]
-    ds = ray.data.read_parquet(paths)
+    ds = ray.data.read_parquet(mf.built_segment_paths(index_dir, meta))
 
     def decode(batch: pa.Table) -> pa.Table:
         """Vectorized batch decode: ONE varbyte pass per stream for every

@@ -330,15 +330,10 @@ def scatter_gather_topk(
                     route_rows.append((part, term, qid, k))
     if not route_rows:
         return empty
-    # tolerate a lost segment file exactly like QueryEngine._shard does
-    # (degraded results, not a FileNotFoundError inside the Ray task)
-    seg_path = {p: mf.segment_path(index_dir, p) for p in eng._parts_built[0]}
-    import os as _os
-
-    live_parts = {p for p, sp in seg_path.items() if _os.path.exists(sp)}
-    route_rows = [r for r in route_rows if r[0] in live_parts]
-    if not route_rows:
-        return empty
+    # a built partition whose segment is gone raises here, on the driver
+    parts = sorted({p for p, *_ in route_rows})
+    seg_path = dict(zip(parts, mf.built_segment_paths(index_dir, eng.meta,
+                                                      parts)))
 
     # --- pass 1: global df per term (dictionary df column only) ---
     df_routes = sorted({(p, t) for p, t, _q, _k in route_rows})

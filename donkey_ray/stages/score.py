@@ -10,26 +10,32 @@ terms) and resolved by row-group-pruned binary search, so per-actor
 memory never scales with corpus vocabulary.
 
 A term's postings may live in several runs (salted hot terms land in
-multiple partitions); each run is an independent block-max iterator of
-the same term (disjoint doc_id sets), idf computed from the summed df.
+multiple partitions); the runs of one term hold disjoint doc_id sets,
+each with its own block-max metadata, and idf comes from the summed df.
 
-Two scorers, rank/score-identical (adversarially tested):
+Two scorers, rank- and score-identical bit for bit (tested on tie-heavy
+corpora):
   exact — every operator except WAND reads one decoded, doc-merged
           ``_TermPostings`` entry per term from one term-keyed LRU, then
           scores vectorized + top-k.
-  wand  — block-max WAND with LAZY per-block decode: pruned blocks are
-          never decoded (the doc-id delta stream resets per block and the
-          segment stores per-block byte offsets). Single-iterator queries
-          use a vectorized block-at-a-time path.
+  wand  — block-max WAND whose memory does not grow with the posting
+          lists. A multi-term query walks doc-id windows cut at block
+          ends, skips what the block bounds rule out and decodes only
+          the blocks holding surviving candidates (the doc-id delta
+          stream resets per block and the segment stores per-block byte
+          offsets); scores add in term order, as exact's do. A
+          single-term query visits its blocks in descending bound order.
+``auto`` runs exact when the query's decoded entries fit the postings
+cache, else WAND: exact was faster on every shape measured.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
-import os
 from collections import OrderedDict
+from functools import reduce
 from itertools import accumulate
+from operator import add
 
 import numpy as np
 import pyarrow as pa
@@ -115,107 +121,53 @@ def _ranked(docs: np.ndarray, scores: np.ndarray,
     return list(zip(docs[o].tolist(), scores[o].tolist()))
 
 
+def _in_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the ``a`` values present in the sorted, non-empty ``b``."""
+    return b[np.minimum(np.searchsorted(b, a), b.size - 1)] == a
+
+
 class _Run:
-    """Lazy block-decodable posting iterator for one (term, run)."""
+    """One posting run of a WAND query term: its blocks' last docs and
+    score bounds, and a lazy decode of one block at a time. Only the
+    last block decoded is kept, so a run never holds more than one
+    decoded block; a scorer that visits a run's blocks in ascending
+    order decodes each at most once."""
 
-    __slots__ = (
-        "scorer", "idf", "n", "bld", "bub", "doc_buf", "tf_buf", "dl_buf",
-        "doc_boff", "tf_boff", "dl_boff", "block_size",
-        "blk", "blk_docs", "blk_tf", "blk_dl", "pos", "cur_doc", "max_ub",
-        "blocks_decoded",
-    )
+    __slots__ = ("row", "idf", "scorer", "avgdl", "bld", "bub", "blk",
+                 "docs", "tf_dl", "scores", "blocks_decoded")
 
-    def __init__(self, idf, row, avgdl, block_size, scorer=None):
-        self.scorer = scorer or scoring.BM25Scorer()
-        self.idf = idf
-        self.doc_buf = row["doc_ids"]
-        self.tf_buf = row["tfs"]
-        self.dl_buf = row["dls"]
+    def __init__(self, idf, row, scorer, avgdl):
+        self.row, self.idf, self.scorer, self.avgdl = row, idf, scorer, avgdl
         self.bld = np.asarray(row["block_last_doc"], dtype=np.int64)
-        bmt = np.asarray(row["block_max_tf"], dtype=np.float64)
-        bmd = np.asarray(row["block_min_dl"], dtype=np.float64)
-        self.bub = idf * self.scorer.tf_weight(bmt, bmd, avgdl)
-        self.doc_boff = np.asarray(row["block_doc_boff"], dtype=np.int64)
-        self.tf_boff = np.asarray(row["block_tf_boff"], dtype=np.int64)
-        self.dl_boff = np.asarray(row["block_dl_boff"], dtype=np.int64)
-        self.n = int(row["df"])
-        self.block_size = block_size
-        self.max_ub = float(self.bub.max()) if len(self.bub) else 0.0
+        self.bub = idf * scorer.tf_weight(
+            np.asarray(row["block_max_tf"], dtype=np.float64),
+            np.asarray(row["block_min_dl"], dtype=np.float64), avgdl)
         self.blk = -1
-        self.blk_tf = None
-        self.blk_dl = None
-        self.pos = 0
         self.blocks_decoded = 0
-        self._load_block(0)
 
-    def _load_block(self, b: int) -> None:
-        buf = self.doc_buf[self.doc_boff[b]: self.doc_boff[b + 1]]
-        d = varbyte_decode(buf)
-        self.blk_docs = np.cumsum(d, dtype=np.uint64).astype(np.int64)
-        self.blk = b
-        self.blk_tf = None
-        self.blk_dl = None
-        self.pos = 0
-        self.cur_doc = int(self.blk_docs[0])
-        self.blocks_decoded += 1
-
-    @property
-    def exhausted(self) -> bool:
-        return self.blk < 0
-
-    def _exhaust(self) -> None:
-        self.blk = -1
-        self.cur_doc = 1 << 62
-
-    def next_geq(self, d: int) -> None:
-        """Advance to the first doc >= d."""
-        if self.blk < 0 or self.cur_doc >= d:
-            return
-        b = int(np.searchsorted(self.bld, d, side="left"))
-        if b >= len(self.bld):
-            self._exhaust()
-            return
+    def block_docs(self, b: int) -> np.ndarray:
+        """The sorted docs of block ``b``."""
         if b != self.blk:
-            self._load_block(b)
-        p = int(np.searchsorted(self.blk_docs, d, side="left"))
-        self.pos = p
-        self.cur_doc = int(self.blk_docs[p])
+            r = self.row
+            # the block's doc, tf and dl streams in one varbyte pass
+            v = varbyte_decode(np.concatenate([
+                r[col][r[off][b]: r[off][b + 1]] for col, off in (
+                    ("doc_ids", "block_doc_boff"), ("tfs", "block_tf_boff"),
+                    ("dls", "block_dl_boff"))]))
+            n = v.size // 3
+            # the doc-id delta stream restarts at every block
+            self.docs = np.cumsum(v[:n], dtype=np.uint64).astype(np.int64)
+            self.tf_dl, self.blk, self.scores = v[n:], b, None
+            self.blocks_decoded += 1
+        return self.docs
 
-    def advance(self) -> None:
-        p = self.pos + 1
-        if p < len(self.blk_docs):
-            self.pos = p
-            self.cur_doc = int(self.blk_docs[p])
-        elif self.blk + 1 < len(self.bld):
-            self._load_block(self.blk + 1)
-        else:
-            self._exhaust()
-
-    def block_ub(self) -> float:
-        return float(self.bub[self.blk])
-
-    def block_end_doc(self) -> int:
-        return int(self.bld[self.blk])
-
-    def score_current(self, avgdl: float) -> float:
-        if self.blk_tf is None:
-            b = self.blk
-            self.blk_tf = varbyte_decode(
-                self.tf_buf[self.tf_boff[b]: self.tf_boff[b + 1]]
-            ).astype(np.float64)
-            self.blk_dl = varbyte_decode(
-                self.dl_buf[self.dl_boff[b]: self.dl_boff[b + 1]]
-            ).astype(np.float64)
-        return self.idf * float(
-            self.scorer.tf_weight(self.blk_tf[self.pos], self.blk_dl[self.pos], avgdl)
-        )
-
-    def decode_block_scores(self, avgdl: float):
-        """Vectorized (docs, scores) of the CURRENT block."""
-        b = self.blk
-        tf = varbyte_decode(self.tf_buf[self.tf_boff[b]: self.tf_boff[b + 1]])
-        dl = varbyte_decode(self.dl_buf[self.dl_boff[b]: self.dl_boff[b + 1]])
-        return self.blk_docs, self.idf * self.scorer.tf_weight(tf, dl, avgdl)
+    def block_scores(self, b: int) -> np.ndarray:
+        """idf * tf_weight of block ``b``'s postings, in doc order."""
+        n = self.block_docs(b).size
+        if self.scores is None:
+            self.scores = self.idf * self.scorer.tf_weight(
+                self.tf_dl[:n], self.tf_dl[n:], self.avgdl)
+        return self.scores
 
 
 class _SegmentShard:
@@ -453,7 +405,7 @@ class QueryEngine:
     opens a new one), so a term string is an exact cache key: every
     exact operator reads one ``_TermPostings`` entry per term from one
     values-budgeted, term-keyed LRU (``postings``); WAND reads the raw
-    segment rows (``term_runs``) and decodes blocks lazily."""
+    segment rows (``term_runs``) and holds one decoded block per run."""
 
     def __init__(self, index_dir: str | list[str], *, mode: str = "auto",
                  scorer: str = "bm25") -> None:
@@ -517,9 +469,13 @@ class QueryEngine:
         self.blocks_decoded = 0  # instrumentation (pruning effectiveness)
 
     def _shard(self, ix: int, part: int) -> _SegmentShard | None:
+        """Partition ``part``'s shard of index ``ix``; None when the
+        partition was never built (it had no postings). A built
+        partition whose segment is gone raises FileNotFoundError."""
         def open_shard():
-            path = mf.segment_path(self.index_dirs[ix], part)
-            return _SegmentShard(path) if os.path.exists(path) else None
+            paths = mf.built_segment_paths(self.index_dirs[ix],
+                                           self.metas[ix], [part])
+            return _SegmentShard(paths[0]) if paths else None
 
         return self._shards.load((ix, part), open_shard)
 
@@ -630,11 +586,6 @@ class QueryEngine:
             raise ValueError(
                 f"{what} queries require an index built with positions=True")
 
-    # auto mode: below this many candidate postings the vectorized
-    # decode-everything scorer beats WAND's block bookkeeping; above it,
-    # lazy block-max pruning wins (and at 10^12-doc scale is mandatory)
-    AUTO_EXACT_MAX_POSTINGS = 1_000_000
-
     def topk(self, text: str, k: int) -> list[tuple[int, float]]:
         return self.terms_topk(sorted(set(self._tok.tokenize(text))), k)
 
@@ -644,19 +595,15 @@ class QueryEngine:
         terms or an expansion: prefix, synonym, fuzzy, wildcard); scores
         add in list order. Terms without postings drop out."""
         runs_by_term = {t: r for t in terms if (r := self.term_runs(t))}
-        return self._dispatch_topk(runs_by_term, k)
-
-    def _dispatch_topk(
-        self, runs_by_term: dict[str, list[dict]], k: int
-    ) -> list[tuple[int, float]]:
         if not runs_by_term or k <= 0:
             return []
         mode = self.mode
         if mode == "auto":
-            total = sum(
-                int(row["df"]) for rs in runs_by_term.values() for row in rs
-            )
-            mode = "exact" if total <= self.AUTO_EXACT_MAX_POSTINGS else "wand"
+            # exact was faster on every shape measured, so WAND serves
+            # only the queries whose decoded entries (docs, tfs, dls,
+            # scores: 4 values a posting) would not fit the postings cache
+            total = sum(int(r["df"]) for rs in runs_by_term.values() for r in rs)
+            mode = "exact" if 4 * total <= _POSTINGS_BUDGET else "wand"
         if mode == "exact":
             return self._topk_exact(list(runs_by_term), k)
         return self._topk_wand(runs_by_term, k)
@@ -868,21 +815,14 @@ class QueryEngine:
         (the cursor is the previous page's last hit, so page N+1 never
         re-ships pages 1..N and two clients paging concurrently can't
         skew each other). ``after=None`` returns page 1 (== topk). The
-        cursor score must be the engine's own float64 (comparison is
-        exact). SQL mirror: row_number window, rank in (cursor_rank,
-        cursor_rank + k]."""
+        cursor score must be the engine's own float64, from any mode
+        (comparison is exact). SQL mirror: row_number window, rank in
+        (cursor_rank, cursor_rank + k]."""
         terms = sorted(set(self._tok.tokenize(text)))
         if after is None or k <= 0:
             return self.terms_topk(terms, k)
         hits = self._topk_exact(terms, 1 << 62)  # full sorted order
         s_a, d_a = float(after[0]), int(after[1])
-        # anchor on the cursor DOC when it still matches: immune to the
-        # cursor score having come from the WAND path, whose float sums
-        # can differ from the exact path's by an ulp (different
-        # accumulation order) and would shift the strict (s, d) cut
-        for i, (d, _s) in enumerate(hits):
-            if d == d_a:
-                return hits[i + 1:i + 1 + k]
         start = len(hits)
         for i, (d, s) in enumerate(hits):
             if s < s_a or (s == s_a and d > d_a):
@@ -1118,10 +1058,8 @@ class QueryEngine:
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """(docs ascending, summed BM25) over ``terms``' entries. A doc
         appears once per term (runs are disjoint, merged in the entry);
-        ACROSS terms, accumulate by O(n) sorted merge: contributions add
-        in the same term order bincount would use, so the float64 sums
-        are bit-identical to the unique+bincount reference
-        (oracle-pinned)."""
+        across terms its contributions add in term order, so the float64
+        sums are bit-identical to the oracle's (oracle-pinned)."""
         post = [p for p in self._load(terms).values() if p.docs.size]
         if not post:
             return None
@@ -1140,27 +1078,23 @@ class QueryEngine:
         res = self._exact_scores(terms)
         return [] if res is None else _ranked(*res, k)
 
-    # ---- block-max WAND with lazy block decode ----
-    def _topk_wand(self, runs_by_term: dict[str, list[dict]], k: int) -> list[tuple[int, float]]:
-        runs: list[_Run] = []
-        for term, rows in runs_by_term.items():
-            df = sum(int(r["df"]) for r in rows)
-            w_idf = float(self.scorer.idf(df, self.n_docs))
-            for row in rows:
-                if int(row["df"]) > 0:
-                    runs.append(_Run(w_idf, row, self.avgdl, self.block_size,
-                                     self.scorer))
-        if not runs:
-            return []
+    # ---- block-max WAND: lazy per-block decode, bounded memory ----
+    def _topk_wand(self, runs_by_term: dict[str, list[dict]],
+                   k: int) -> list[tuple[int, float]]:
+        terms: list[list[_Run]] = []
+        for rows in runs_by_term.values():
+            idf = float(self.scorer.idf(sum(int(r["df"]) for r in rows),
+                                        self.n_docs))
+            if rs := [_Run(idf, r, self.scorer, self.avgdl)
+                      for r in rows if int(r["df"])]:
+                terms.append(rs)
         try:
-            if len(runs_by_term) == 1:
-                # all runs belong to one term -> doc sets are disjoint
-                # (salted runs cover disjoint doc_id ranges): fully
-                # vectorized block-at-a-time across the union of blocks
-                return self._disjoint_runs_topk(runs, k)
-            return self._bmw(runs, k)
+            if len(terms) == 1:
+                return self._disjoint_runs_topk(terms[0], k)
+            return self._window_topk(terms, k) if terms else []
         finally:
-            self.blocks_decoded += sum(r.blocks_decoded for r in runs)
+            self.blocks_decoded += sum(r.blocks_decoded
+                                       for rs in terms for r in rs)
 
     def _disjoint_runs_topk(self, runs: list[_Run], k: int) -> list[tuple[int, float]]:
         """Single-term queries (possibly many salted runs with disjoint doc
@@ -1168,12 +1102,7 @@ class QueryEngine:
         decode+score a block only while its bound can beat the current
         threshold; merge fully vectorized."""
         ubs = np.concatenate([r.bub for r in runs])
-        run_idx = np.concatenate(
-            [np.full(len(r.bub), i, dtype=np.int64) for i, r in enumerate(runs)]
-        )
-        blk_idx = np.concatenate(
-            [np.arange(len(r.bub), dtype=np.int64) for r in runs]
-        )
+        blocks = [(r, b) for r in runs for b in range(r.bub.size)]
         order = np.argsort(-ubs, kind="stable")
         best_docs = np.empty(0, dtype=np.int64)
         best_scores = np.empty(0, dtype=np.float64)
@@ -1181,76 +1110,105 @@ class QueryEngine:
         for j in order:
             if len(best_docs) >= k and ubs[j] < threshold:
                 break
-            run = runs[run_idx[j]]
-            b = int(blk_idx[j])
-            if b != run.blk:
-                run._load_block(b)
-            docs, scores = run.decode_block_scores(self.avgdl)
-            best_docs = np.concatenate((best_docs, docs))
-            best_scores = np.concatenate((best_scores, scores))
+            run, b = blocks[j]
+            best_docs = np.concatenate((best_docs, run.block_docs(b)))
+            best_scores = np.concatenate((best_scores, run.block_scores(b)))
             sel = scoring.topk_order(best_docs, best_scores, k)
             best_docs, best_scores = best_docs[sel], best_scores[sel]
             if len(best_docs) >= k:
                 threshold = float(best_scores[-1])
         return list(zip(best_docs.tolist(), best_scores.tolist()))
 
-    def _bmw(self, runs: list[_Run], k: int) -> list[tuple[int, float]]:
-        heap: list[tuple[float, int]] = []
-        threshold = -np.inf
-
-        def push(doc_id: int, score: float) -> None:
-            nonlocal threshold
-            item = (score, -doc_id)
-            if len(heap) < k:
-                heapq.heappush(heap, item)
-                if len(heap) == k:
-                    threshold = heap[0][0]
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-                threshold = heap[0][0]
-
-        live = list(runs)
+    def _window_topk(self, terms: list[list[_Run]],
+                     k: int) -> list[tuple[int, float]]:
+        """Block-max WAND over ``terms`` (each term's runs, in the
+        query's term order). Windows walk the doc ids in order and fold
+        into a running top-k whose k-th score is the threshold. The
+        lowest-bound terms whose largest bounds, summed, stay below it
+        are non-essential (MaxScore). A window ends at the nearest block
+        end of an essential run; it is skipped undecoded when its block
+        bounds cannot reach the threshold. Its candidates are the
+        essential runs' docs whose block bounds reach it (``>=``: doc_id
+        asc breaks ties), and only the blocks holding them are decoded.
+        Scores and bounds add in term order, scores with
+        ``scoring.merge_scored_runs`` as on the exact path, so the sums
+        are bit-identical; float addition is monotone, so a bound never
+        falls below the score it bounds. Memory: one decoded block per
+        run; no per-query block cache grows with the posting lists."""
+        m = len(terms)
+        tmax = np.array([max(float(r.bub.max()) for r in rs) for rs in terms])
+        order = np.argsort(tmax, kind="stable")
+        # ne_sum[j]: the j + 1 lowest term bounds, summed in term order
+        low = np.argsort(order)[None, :] <= np.arange(m)[:, None]
+        ne_sum = np.cumsum(np.where(low, tmax, 0.0), axis=1)[:, -1]
+        # per run: its term, the run, and its block ends and bounds as lists
+        runs = [(t, r, r.bld.tolist(), r.bub.tolist())
+                for t, rs in enumerate(terms) for r in rs]
+        cur = [0] * len(runs)  # each run's first block ending at or after lo
+        docs = np.empty(0, dtype=np.int64)
+        scores = np.empty(0, dtype=np.float64)
+        thr, hi = -np.inf, -(1 << 63) - 1
         while True:
-            live = [r for r in live if not r.exhausted]
-            if not live:
+            lo = hi + 1
+            ess = set(order[int(np.searchsorted(ne_sum, thr)):].tolist())
+            cur = [bisect.bisect_left(bl, lo, b)
+                   for (_, _, bl, _), b in zip(runs, cur)]
+            ends = [bl[b] for (t, _, bl, _), b in zip(runs, cur)
+                    if t in ess and b < len(bl)]
+            if not ends:
                 break
-            live.sort(key=lambda r: r.cur_doc)
-            # pivot: smallest prefix whose summed MAX upper bounds can reach
-            # the threshold (>= so exact-threshold ties with smaller doc_id
-            # are still evaluated — pinned tie-break is doc_id asc)
-            acc = 0.0
-            pivot_idx = -1
-            for i, r in enumerate(live):
-                acc += r.max_ub
-                if len(heap) < k or acc >= threshold:
-                    pivot_idx = i
-                    break
-            if pivot_idx < 0:
-                break
-            pivot_doc = live[pivot_idx].cur_doc
-            if live[0].cur_doc == pivot_doc:
-                involved = [r for r in live if r.cur_doc == pivot_doc]
-                block_bound = sum(r.block_ub() for r in involved)
-                if len(heap) < k or block_bound >= threshold:
-                    score = 0.0
-                    for r in involved:
-                        score += r.score_current(self.avgdl)
-                    push(pivot_doc, score)
-                    for r in involved:
-                        r.advance()
-                else:
-                    # block-level skip: nothing in [pivot_doc, d_next) can
-                    # win — involved blocks are bounded out and other runs
-                    # only start at their cur_doc
-                    d_next = min(r.block_end_doc() for r in involved) + 1
-                    for r in live[pivot_idx + 1:]:
-                        d_next = min(d_next, r.cur_doc)
-                    if d_next <= pivot_doc:
-                        d_next = pivot_doc + 1
-                    for r in involved:
-                        r.next_geq(d_next)
-            else:
-                for r in live[:pivot_idx]:
-                    r.next_geq(pivot_doc)
-        out = sorted(heap, key=lambda x: (-x[0], -x[1]))
-        return [(-d, s) for s, d in out]
+            hi = min(ends)
+            live = []  # (term, run, b, e, bounds): blocks b..e overlap [lo, hi]
+            term_ub = [0.0] * m
+            for (t, r, bl, bu), b in zip(runs, cur):
+                if b < len(bl):
+                    e = min(bisect.bisect_left(bl, hi, b), len(bl) - 1)
+                    live.append((t, r, b, e, bu))
+                    term_ub[t] = max(term_ub[t], *bu[b:e + 1])
+            if reduce(add, term_ub) < thr:  # summed in term order
+                continue
+            # the docs in [lo, hi] of the essential runs and of every run
+            # whose one block here is already decoded
+            window = {}
+            for t, r, b, e, _ in live:
+                if t in ess or (e == b and r.blk == b):
+                    d = r.block_docs(b)
+                    window[r] = d[np.searchsorted(d, lo):
+                                  np.searchsorted(d, hi, "right")]
+            cand = np.unique(np.concatenate(
+                [window[r] for t, r, *_ in live if t in ess]))
+            if not cand.size:
+                continue
+            term_ub = [0.0] * m
+            for t, r, b, e, bu in live:
+                if r in window:  # decoded: bound only its own docs
+                    if not window[r].size:
+                        continue
+                    u = np.where(_in_sorted(cand, window[r]), bu[b], 0.0)
+                elif e == b:
+                    u = bu[b]
+                else:  # bound 0 past the run's last block
+                    u = np.append(r.bub[b:e + 1], 0.0)[
+                        np.searchsorted(r.bld[b:e + 1], cand)]
+                term_ub[t] = np.maximum(term_ub[t], u)
+            keep = cand[reduce(add, term_ub) >= thr]
+            if not keep.size:
+                continue
+            # one list per block, in term order: a doc lies in one block
+            # of one run per term, so its scores add in term order
+            hit_docs, hit_scores = [], []
+            for _, r, b, e, _ in live:
+                if r in window and not window[r].size:
+                    continue
+                i = np.searchsorted(r.bld[b:e + 1], keep)
+                for x in (b + np.unique(i[i <= e - b])).tolist():
+                    hit = _in_sorted(r.block_docs(x), keep)
+                    hit_docs.append(r.docs[hit])
+                    hit_scores.append(r.block_scores(x)[hit])
+            wd, ws = scoring.merge_scored_runs(hit_docs, hit_scores)
+            docs, scores = np.concatenate((docs, wd)), np.concatenate((scores, ws))
+            o = scoring.topk_order(docs, scores, k)
+            docs, scores = docs[o], scores[o]
+            if docs.size == k:
+                thr = float(scores[-1])
+        return list(zip(docs.tolist(), scores.tolist()))

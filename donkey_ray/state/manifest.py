@@ -118,7 +118,7 @@ def mark_complete(out_dir: str) -> None:
 
 
 def built_segment_paths(out_dir: str, meta: dict, parts=None) -> list[str]:
-    """Segment paths a reader of a complete ANN index may serve from:
+    """Segment paths a reader of a complete index may serve from:
     the partitions among ``parts`` (default: all) that are in the meta's
     ``parts_built``. A partition outside that ledger had no rows (groupby
     writes no group for it) and is a legitimate empty list. A built

@@ -130,9 +130,8 @@ def test_wand_equals_exact_on_many_queries(built):
     wd = QueryEngine(out, mode="wand")
     queries = make_queries(120)
     for row in queries.to_pylist():
-        assert wd.topk(row["text"], int(row["k"])) == pytest.approx(
-            ex.topk(row["text"], int(row["k"]))
-        )
+        assert wd.topk(row["text"], int(row["k"])) == ex.topk(
+            row["text"], int(row["k"]))  # bit for bit
 
 
 def test_score_queries_pipeline(built, ray_session):
@@ -427,7 +426,7 @@ def test_pluggable_scorer(built):
     for row in make_queries(40).to_pylist():
         got_ex = ex.topk(row["text"], int(row["k"]))
         got_wd = wd.topk(row["text"], int(row["k"]))
-        assert got_wd == pytest.approx(got_ex)  # pruning stays exact
+        assert got_wd == got_ex  # pruning stays exact, bit for bit
         if [d for d, _ in got_ex] != [d for d, _ in bm.topk(row["text"], int(row["k"]))]:
             diverged = True
     assert diverged  # the custom scorer actually changes rankings
@@ -461,6 +460,54 @@ def test_scatter_gather_equals_engine(built):
     g = np.asarray(got.column("score"))
     w = np.asarray(want.column("score"))
     assert np.allclose(g, w, rtol=0, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def lost_segment(built, tmp_path_factory):
+    """A copy of the built index with partition 1's segment deleted, and
+    a cold query term that routes to partition 1 alone."""
+    import shutil
+
+    _, out, _, oracle = built
+    d = str(tmp_path_factory.mktemp("lost") / "index")
+    shutil.copytree(out, d)
+    os.remove(mf.segment_path(d, 1))
+    eng = QueryEngine(out)
+    term = next(t for t in sorted(oracle.postings)
+                if eng._candidate_parts(0, t) == [1])
+    return d, term
+
+
+def test_engine_refuses_a_missing_segment(lost_segment):
+    """QueryEngine raises instead of serving a top-k without the lost
+    partition's postings."""
+    d, term = lost_segment
+    for mode in ("exact", "wand"):
+        with pytest.raises(FileNotFoundError, match="part-00001"):
+            QueryEngine(d, mode=mode).topk(term, 5)
+
+
+def test_scatter_gather_refuses_a_missing_segment(lost_segment):
+    from donkey_ray.pipelines.query import scatter_gather_topk
+
+    d, term = lost_segment
+    queries = pa.table({"query_id": pa.array([0], pa.int64()),
+                        "text": pa.array([term]),
+                        "k": pa.array([5], pa.int32())})
+    with pytest.raises(FileNotFoundError, match="part-00001"):
+        scatter_gather_topk(d, queries)
+
+
+def test_merge_refuses_a_missing_segment(lost_segment, tmp_path):
+    """merge_indexes (under compact and reshard) reads segments back as
+    postings: a lost segment raises instead of writing a complete
+    index without its postings."""
+    from donkey_ray.pipelines.incremental import merge_indexes
+
+    d, _ = lost_segment
+    with pytest.raises(FileNotFoundError, match="part-00001"):
+        merge_indexes([d], str(tmp_path / "merged"), num_partitions=2)
+    assert not mf.is_complete(str(tmp_path / "merged"))
 
 
 def test_not_topk_excludes_negated_docs(built):
@@ -1329,10 +1376,9 @@ def test_tiered_topk(built, tmp_path):
     assert not [r for r in rows if r["query_id"] == 2]
 
 
-def test_topk_exact_merge_matches_bincount_reference():
-    """PROPERTY (round-3 scoring rewrite): the order-preserving sorted
-    merge + cached-weight accumulation in _topk_exact must be
-    BIT-identical to the old unique+bincount reference over random
+def test_topk_exact_merge_matches_per_doc_reference():
+    """PROPERTY: the score merge _topk_exact uses must be BIT-identical
+    to a plain per-doc accumulation in list order over random
     sorted-unique runs — float addition order is part of the spec."""
     import numpy as np
 
@@ -1348,12 +1394,15 @@ def test_topk_exact_merge_matches_bincount_reference():
             ids = np.sort(rng.choice(universe, size=m, replace=False)).astype(np.int64)
             per_ids.append(ids)
             per_scores.append(rng.standard_normal(m))
-        # reference: concat -> unique -> bincount (the old engine path)
-        cid = np.concatenate(per_ids)
-        csc = np.concatenate(per_scores)
-        uq, inv = np.unique(cid, return_inverse=True)
-        ref = np.bincount(inv, weights=csc, minlength=len(uq))
-        # new path: the SHIPPED merge helper _topk_exact uses
+        # reference: each doc's contributions added one by one, in list
+        # order, starting from 0.0 (as the oracle does)
+        acc: dict[int, float] = {}
+        for ids, sc in zip(per_ids, per_scores):
+            for d, x in zip(ids.tolist(), sc.tolist()):
+                acc[d] = acc.get(d, 0.0) + x
+        uq = np.array(sorted(acc), dtype=np.int64)
+        ref = np.array([acc[d] for d in uq.tolist()])
+        # the SHIPPED merge helper _topk_exact uses
         uniq, sums = scoring.merge_scored_runs(per_ids, per_scores)
         assert np.array_equal(uniq, uq)
         assert np.array_equal(sums, ref)  # BIT-identical, not approx
