@@ -2261,7 +2261,8 @@ def q_knn_label_eval(sf_dir: str) -> ray.data.Dataset:
     (≤100k labeled rows) the dispatcher takes the pytest-identical
     broadcast tile instead (VERDICT r3 item 8 — no artifact I/O for a
     table under the broadcast budget); the beyond-broadcast plan stays
-    gated by test_knn_label_eval_ivf_equals_broadcast(force_ivf=True)."""
+    gated by test_knn_label_eval_ivf_equals_broadcast, which forces it
+    with max_broadcast_rows=0."""
     import hashlib as _hl
 
     from .pipelines.ann import knn_label_eval

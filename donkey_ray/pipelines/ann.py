@@ -649,7 +649,6 @@ def knn_label_eval(
     max_broadcast_rows: int = KNN_EVAL_BROADCAST_MAX,
     nprobe: int | None = None,
     n_lists: int = 16,
-    force_ivf: bool = False,
 ) -> ray.data.Dataset:
     """Leave-one-out kNN label prediction over a labeled embedding table
     — the standard embedding-quality eval. For each vector: its k
@@ -662,20 +661,21 @@ def knn_label_eval(
     the small-n fast path (taken even when ``index_dir`` is supplied:
     the two paths are pytest-identical, and paying IVF artifact I/O for
     a table that fits the broadcast budget is pure overhead — VERDICT
-    r3 item 8). Beyond the budget — or with ``force_ivf=True`` — the
-    global side is the IVF artifact's probed lists instead: each actor
-    loads centroids once and reads only the segment partitions its
-    queries probe (LRU-cached under a byte budget) — nothing
-    corpus-sized is broadcast or driver-resident. nprobe=None probes
-    every list, which keeps the eval EXACT (identical to the broadcast
-    path; layout-invariance pytest-pinned); smaller nprobe trades recall
-    for I/O exactly like ivf_topk."""
+    r3 item 8). Beyond the budget (``max_broadcast_rows=0`` forces it
+    at any size) the global side is the IVF artifact's probed lists
+    instead: each actor holds one ``ivf.IVFReader``, which loads the
+    centroids once and caches the segment partitions its queries probe
+    under the reader's byte budget — nothing corpus-sized is broadcast
+    or driver-resident. nprobe=None probes every list, which keeps the
+    eval EXACT (identical to the broadcast path; layout-invariance
+    pytest-pinned); smaller nprobe trades recall for I/O exactly like
+    ivf_topk."""
     # materialize ONCE so the dispatch count is free and every consumer
     # (index build, prober, label projection) reads the pinned blocks
     # instead of re-executing the upstream plan (the labeled table is
     # index input, O(n·dim) — the same bound build_knn_graph pins)
     ds = ds.materialize()
-    if not force_ivf and ds.count() <= max_broadcast_rows:
+    if ds.count() <= max_broadcast_rows:
         return _knn_label_eval_broadcast(
             ds, k=k, vec_col=vec_col, id_col=id_col,
             label_col=label_col)
@@ -728,145 +728,35 @@ def _knn_label_eval_broadcast(
 
 
 class _IVFNeighborProber:
-    """Actor-pool stage for the large-n eval: centroids load once per
-    actor; each query batch probes its nprobe nearest lists and reads
-    only the segment PARTITIONS owning them, LRU-cached under
-    ``cache_bytes`` per actor — per-actor memory is O(cache budget),
-    never O(corpus), and nothing ships from the driver. Emits the
-    top-k OTHER-neighbor edge list (vec_id, true_label, nbr_id): the
-    label lookup happens in a downstream keyed join, so the prober
-    never needs a global label map either."""
+    """Actor-pool stage for the large-n eval: one ``IVFReader`` per actor
+    (centroids once, partitions cached under the reader's byte budget —
+    per-actor memory is bounded by that budget, not by the corpus, and
+    nothing ships from the driver). Emits each query's top-k OTHER
+    neighbors as edges (vec_id, true_label, nbr_id): the label lookup
+    happens in a downstream keyed join, so the prober never needs a
+    global label map either."""
 
     def __init__(self, index_dir: str, k: int, nprobe: int | None,
-                 vec_col: str, id_col: str, label_col: str,
-                 cache_bytes: int = 1 << 30) -> None:
-        import os
-        from collections import OrderedDict
+                 vec_col: str, id_col: str, label_col: str) -> None:
+        from .ivf import IVFReader
 
-        import pyarrow.parquet as pq
-
-        from ..state import manifest as mf
-
-        self.index_dir = index_dir
-        self.meta = mf.load_meta(index_dir)
-        self.centroids = _batch_matrix(
-            pq.read_table(os.path.join(index_dir, "centroids.parquet")),
-            "centroid")
-        self.nprobe = clamp_nprobe(nprobe, len(self.centroids))
+        self.reader = IVFReader(index_dir)
+        self.nprobe = clamp_nprobe(nprobe, len(self.reader.centroids))
         self.k = k
         self.vec_col, self.id_col, self.label_col = vec_col, id_col, label_col
-        self.cache_bytes = cache_bytes
-        self._cache: "OrderedDict[int, tuple]" = OrderedDict()
-        self._cache_sz = 0
-
-    def _load_part(self, part: int):
-        import pyarrow.parquet as pq
-
-        from ..state import manifest as mf
-
-        if part in self._cache:
-            self._cache.move_to_end(part)
-            return self._cache[part]
-        paths = mf.built_segment_paths(self.index_dir, self.meta, [part])
-        if not paths:  # an unbuilt partition is an empty list
-            entry = (np.array([], np.int32), np.array([], np.int64),
-                     np.zeros((0, self.centroids.shape[1])))
-        else:
-            t = pq.read_table(paths[0],
-                              columns=["list_id", "vec_id", "embedding"])
-            entry = (
-                t.column("list_id").to_numpy(zero_copy_only=False),
-                t.column("vec_id").to_numpy(
-                    zero_copy_only=False).astype(np.int64),
-                _normalize(_batch_matrix(t, "embedding")),
-            )
-        sz = entry[2].nbytes + entry[0].nbytes + entry[1].nbytes
-        while self._cache and self._cache_sz + sz > self.cache_bytes:
-            _, old = self._cache.popitem(last=False)
-            self._cache_sz -= (old[2].nbytes + old[0].nbytes + old[1].nbytes)
-        self._cache[part] = entry
-        self._cache_sz += sz
-        return entry
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         bids = batch.column(self.id_col).to_numpy(
             zero_copy_only=False).astype(np.int64)
         blab = batch.column(self.label_col).to_numpy(
             zero_copy_only=False).astype(np.int64)
-        bm = _normalize(_batch_matrix(batch, self.vec_col))
-        empty = pa.table({
-            "vec_id": pa.array([], pa.int64()),
-            "true_label": pa.array([], pa.int64()),
-            "nbr_id": pa.array([], pa.int64()),
-        })
-        if len(bids) == 0:
-            return empty
-        from ..functions.scoring import topk_order
-
-        P = int(self.meta["num_partitions"])
-        n_lists = len(self.centroids)
-        full = self.nprobe >= n_lists
-        if full:
-            # every query probes every list: skip the per-query isin
-            # mask entirely (it would be all-True) — self-exclusion is
-            # the only per-query state
-            probe = None
-            need_parts = np.arange(P)
-        else:
-            probe = np.argsort(
-                -(bm @ self.centroids.T), axis=1)[:, :self.nprobe]
-            need_parts = np.unique(np.unique(probe) % P)
-        out_q, out_l, out_n = [], [], []
-        # iterate parts outer, queries inner, folding per-query top-k
-        # across parts
-        best_ids = [None] * len(bids)
-        best_sims = [None] * len(bids)
-        for part in need_parts:
-            lists, ids, m = self._load_part(int(part))
-            if not len(ids):
-                continue
-            sims_all = m @ bm.T  # (part_rows, batch)
-            if full:
-                # locate each query's own row in this part once
-                o = np.argsort(ids, kind="stable")
-                p = np.searchsorted(ids, bids, sorter=o)
-                pc = np.minimum(p, len(ids) - 1)
-                self_hit = ids[o[pc]] == bids
-            for i in range(len(bids)):
-                if full:
-                    s = sims_all[:, i]
-                    cand_ids = ids
-                    if self_hit[i]:
-                        s[o[pc[i]]] = -np.inf  # column used once: safe
-                else:
-                    sel = np.isin(lists, probe[i])
-                    sel &= ids != bids[i]  # leave-one-out
-                    if not sel.any():
-                        continue
-                    s = sims_all[sel, i]
-                    cand_ids = ids[sel]
-                kk = min(self.k, len(cand_ids))
-                top = topk_order(cand_ids, s, kk)
-                top = top[np.isfinite(s[top])]  # drop the -inf self row
-                if not len(top):
-                    continue
-                if best_ids[i] is None:
-                    best_ids[i], best_sims[i] = cand_ids[top], s[top]
-                else:
-                    ci = np.concatenate([best_ids[i], cand_ids[top]])
-                    cs = np.concatenate([best_sims[i], s[top]])
-                    keep = np.lexsort((ci, -cs))[:self.k]
-                    best_ids[i], best_sims[i] = ci[keep], cs[keep]
-        for i in range(len(bids)):
-            if best_ids[i] is None:
-                continue
-            out_q.extend([int(bids[i])] * len(best_ids[i]))
-            out_l.extend([int(blab[i])] * len(best_ids[i]))
-            out_n.extend(int(x) for x in best_ids[i])
+        qi, nbrs, _ = self.reader.topk(
+            _batch_matrix(batch, self.vec_col), self.k, self.nprobe,
+            exclude=bids)
         return pa.table({
-            "vec_id": pa.array(out_q, pa.int64()),
-            "true_label": pa.array(out_l, pa.int64()),
-            "nbr_id": pa.array(out_n, pa.int64()),
+            "vec_id": pa.array(bids[qi], pa.int64()),
+            "true_label": pa.array(blab[qi], pa.int64()),
+            "nbr_id": pa.array(nbrs, pa.int64()),
         })
 
 
@@ -903,9 +793,8 @@ def _knn_label_eval_ivf(
     build_ivf_index(ds, index_dir, n_lists=n_lists,
                     vec_col=vec_col, id_col=id_col)
 
-    prober = _IVFNeighborProber
     edges = ds.map_batches(
-        prober, batch_format="pyarrow", zero_copy_batch=True,
+        _IVFNeighborProber, batch_format="pyarrow", zero_copy_batch=True,
         concurrency=(1, 8), batch_size=1024,
         fn_constructor_args=(index_dir, k, nprobe, vec_col, id_col,
                              label_col),

@@ -9,28 +9,31 @@ Layout:
                                   centroid) — small, broadcastable
   out/segments/part-%05d.parquet  (list_id, vec_id, embedding) rows of
                                   the lists owned by this partition,
-                                  sorted by (list_id, vec_id) so parquet
-                                  row-group stats prune probes
+                                  sorted by (list_id, vec_id)
   out/manifest/part-%05d.json     per-partition lineage (counts, sha256)
   out/index_meta.json, out/_SUCCESS
 
 Partitioning: part = list_id % num_partitions, so a query probing
-``nprobe`` lists touches at most ``nprobe`` partitions and, within each,
-only the row groups whose list_id range matches. ``nprobe = n_lists``
-scans everything and is EXACT brute-force cosine — the driver gates that
-configuration against the same DuckDB oracle as plain ann_topk; smaller
-nprobe trades recall for I/O (recall gated in pytest).
+``nprobe`` lists touches at most ``nprobe`` partitions. ``nprobe =
+n_lists`` scans everything and is EXACT brute-force cosine — the driver
+gates that configuration against the same DuckDB oracle as plain
+ann_topk; smaller nprobe trades recall for I/O (recall gated in pytest).
 
 Scale shape: centroids are trained on a deterministic hash-sample
 (driver-side numpy — sample size is fixed, independent of corpus size),
 assignment is one embarrassingly-parallel map, and the only exchange is
-the keyed list->partition groupby. Query-time reads are partition- and
-row-group-pruned; nothing ever materializes the full vector set.
+the keyed list->partition groupby. Every query reads through one
+``IVFReader``: it reads only the partitions owning probed lists and
+keeps each one it read resident as a normalized matrix, up to
+PART_CACHE_BYTES per reader (least recently used evicted first). A
+full-probe reader therefore holds the whole vector set when it fits
+that budget, and re-reads partitions when it does not.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import numpy as np
@@ -40,8 +43,9 @@ import ray
 import ray.data
 
 from ..functions.hashing import deterministic_sample_mask
+from ..functions.scoring import topk_order
 from ..state import manifest as mf
-from ..util import dataset_to_table
+from ..util import _LRU, dataset_to_table
 from .ann import _batch_matrix, _normalize, clamp_nprobe
 
 FORMAT_VERSION = 1
@@ -181,6 +185,104 @@ def build_ivf_index(
     return meta
 
 
+# bytes of normalized partitions one IVFReader keeps resident
+PART_CACHE_BYTES = 1 << 30
+
+
+class IVFReader:
+    """The one IVF read path, behind ``ivf_topk``, the kNN-eval prober
+    and ``VectorServer``. Holds the meta and the centroids; each
+    partition it reads is cached as (list_id, vec_id, normalized
+    matrix) in an ``_LRU`` of at most PART_CACHE_BYTES, so a warm
+    reader neither re-reads nor re-normalizes a segment. Every
+    partition is found through ``mf.built_segment_paths``: a lost built
+    segment raises FileNotFoundError instead of answering without it."""
+
+    def __init__(self, index_dir: str) -> None:
+        self.index_dir = index_dir
+        self.meta = mf.load_meta(index_dir)
+        self.centroids = _batch_matrix(
+            pq.read_table(os.path.join(index_dir, "centroids.parquet")),
+            "centroid")
+        self._parts = _LRU(PART_CACHE_BYTES,
+                           size=lambda e: sum(a.nbytes for a in e))
+        # an in-process VectorServer behind the threaded HTTP frontend
+        # is searched from several request threads at once
+        self._parts_lock = threading.Lock()
+
+    def _read_part(self, part: int) -> tuple:
+        paths = mf.built_segment_paths(self.index_dir, self.meta, [part])
+        if not paths:  # an unbuilt partition is an empty list
+            return (np.zeros(0, np.int32), np.zeros(0, np.int64),
+                    np.zeros((0, self.centroids.shape[1])))
+        t = pq.read_table(paths[0], columns=["list_id", "vec_id", "embedding"])
+        return (t.column("list_id").to_numpy(zero_copy_only=False),
+                t.column("vec_id").to_numpy(
+                    zero_copy_only=False).astype(np.int64),
+                _normalize(_batch_matrix(t, "embedding")))
+
+    def topk(self, query_vectors: np.ndarray, k: int,
+             nprobe: int | None = None, exclude: np.ndarray | None = None):
+        """Cosine top-k of each query over its ``nprobe`` nearest lists
+        (None: every list, which is exact brute force), tie-break (cos
+        desc, vec_id asc). ``exclude`` holds one vec_id per query that
+        its own answer leaves out (the kNN eval's leave-one-out).
+
+        Part-outer, query-inner: each probed partition is scored for the
+        whole batch in one matmul and every query folds that part's
+        top-k into its running top-k. Returns flat (query index, vec_id,
+        cos_sim) arrays, grouped by query in rank order."""
+        q = _normalize(np.asarray(query_vectors, dtype=np.float64))
+        n_lists = len(self.centroids)
+        nprobe = clamp_nprobe(nprobe, n_lists)
+        P = int(self.meta["num_partitions"])
+        full = nprobe >= n_lists
+        if full:
+            # every query probes every list: no per-query list mask,
+            # the excluded id is the only per-query state
+            probe, parts = None, range(P)
+        else:
+            probe = np.argsort(-(q @ self.centroids.T), axis=1)[:, :nprobe]
+            parts = np.unique(np.unique(probe) % P).tolist()
+        empty = (np.zeros(0, np.int64), np.zeros(0))
+        best = [empty] * len(q)
+        for part in parts:
+            with self._parts_lock:
+                lists, ids, m = self._parts.load(
+                    part, lambda: self._read_part(part))
+            if not len(ids):
+                continue
+            sims_all = m @ q.T  # (part_rows, n_queries)
+            if full and exclude is not None:
+                # locate each query's own row in this part once
+                o = np.argsort(ids, kind="stable")
+                pc = np.minimum(np.searchsorted(ids, exclude, sorter=o),
+                                len(ids) - 1)
+                self_hit = ids[o[pc]] == exclude
+            for i in range(len(q)):
+                if full:
+                    s, cand = sims_all[:, i], ids
+                    if exclude is not None and self_hit[i]:
+                        s[o[pc[i]]] = -np.inf  # column used once: safe
+                else:
+                    sel = np.isin(lists, probe[i])
+                    if exclude is not None:
+                        sel &= ids != exclude[i]
+                    if not sel.any():
+                        continue
+                    s, cand = sims_all[sel, i], ids[sel]
+                top = topk_order(cand, s, k)
+                top = top[s[top] > -np.inf]  # drop the excluded row
+                bi, bs = best[i]
+                bi = np.concatenate([bi, cand[top]])
+                bs = np.concatenate([bs, s[top]])
+                keep = topk_order(bi, bs, k)
+                best[i] = (bi[keep], bs[keep])
+        return (np.repeat(np.arange(len(q)), [len(b[0]) for b in best]),
+                np.concatenate([empty[0]] + [b[0] for b in best]),
+                np.concatenate([empty[1]] + [b[1] for b in best]))
+
+
 def ivf_topk(
     index_dir: str,
     query_vectors: np.ndarray,
@@ -188,53 +290,15 @@ def ivf_topk(
     k: int = 10,
     nprobe: int | None = None,
 ) -> pa.Table:
-    """Cosine top-k per query via centroid-probed reads.
-
-    Reads ONLY the partitions owning probed lists, filtered to the probed
-    list_ids (parquet row-group pruning on the sorted list_id column).
-    nprobe=None (= n_lists) probes everything -> exact brute force.
-    Returns (query_id, rank, vec_id, cos_sim), tie-break (cos desc,
-    vec_id asc), float64."""
-    import pyarrow.dataset as pads
-
-    meta = mf.load_meta(index_dir)
-    centroids = _batch_matrix(
-        pq.read_table(os.path.join(index_dir, "centroids.parquet")), "centroid"
-    )
-    nprobe = clamp_nprobe(nprobe, len(centroids))
-    q = _normalize(np.asarray(query_vectors, dtype=np.float64))
-    # per query: the nprobe nearest centroid lists
-    cent_sims = q @ centroids.T  # (nq, n_lists)
-    probe = np.argsort(-cent_sims, axis=1)[:, :nprobe]  # (nq, nprobe)
-    probed_lists = np.unique(probe)
-    parts = np.unique(probed_lists % meta["num_partitions"])
-    paths = mf.built_segment_paths(index_dir, meta, parts)
-    out = {"query_id": [], "rank": [], "vec_id": [], "cos_sim": []}
-    if paths:
-        data = pads.dataset(paths).to_table(
-            columns=["list_id", "vec_id", "embedding"],
-            filter=pads.field("list_id").isin(pa.array(probed_lists, pa.int32())),
-        )
-        lists = data.column("list_id").to_numpy(zero_copy_only=False)
-        ids = data.column("vec_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        m = _normalize(_batch_matrix(data, "embedding"))
-        for qi in range(len(q)):
-            sel = np.isin(lists, probe[qi])
-            if not sel.any():
-                continue
-            sims = m[sel] @ q[qi]
-            ids_q = ids[sel]
-            kk = min(k, len(ids_q))
-            top = np.lexsort((ids_q, -sims))[:kk]
-            out["query_id"].extend([qi] * kk)
-            out["rank"].extend(range(1, kk + 1))
-            out["vec_id"].extend(ids_q[top].tolist())
-            out["cos_sim"].extend(sims[top].tolist())
-    return pa.table(
-        {
-            "query_id": pa.array(out["query_id"], pa.int64()),
-            "rank": pa.array(out["rank"], pa.int32()),
-            "vec_id": pa.array(out["vec_id"], pa.int64()),
-            "cos_sim": pa.array(out["cos_sim"], pa.float64()),
-        }
-    )
+    """Cosine top-k per query from a fresh ``IVFReader``: only the
+    partitions owning probed lists are read. nprobe=None (= n_lists)
+    probes everything -> exact brute force. Returns (query_id, rank,
+    vec_id, cos_sim), tie-break (cos desc, vec_id asc), float64."""
+    qi, ids, sims = IVFReader(index_dir).topk(query_vectors, k, nprobe)
+    return pa.table({
+        "query_id": pa.array(qi, pa.int64()),
+        "rank": pa.array(np.arange(len(qi)) - np.searchsorted(qi, qi) + 1,
+                         pa.int32()),
+        "vec_id": pa.array(ids, pa.int64()),
+        "cos_sim": pa.array(sims, pa.float64()),
+    })

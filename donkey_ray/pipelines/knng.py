@@ -461,10 +461,8 @@ def _load_graph(index_dir: str):
     """CSR view of the graph: (sorted unique srcs, offsets, dsts)."""
     import pyarrow.dataset as pads
 
-    meta = mf.load_meta(index_dir)
-    paths = [mf.segment_path(index_dir, int(p)) for p in meta["parts_built"]]
-    paths = [p for p in paths if os.path.exists(p)]
-    if not paths:  # a legitimately empty graph (e.g. a 0/1-vector shard)
+    paths = mf.built_segment_paths(index_dir, mf.load_meta(index_dir))
+    if not paths:  # nothing built: a legitimately empty (0-vector) graph
         e = np.array([], dtype=np.int64)
         return e, np.array([0], dtype=np.int64), e.copy()
     t = pads.dataset(paths).to_table(columns=["src", "dst"])

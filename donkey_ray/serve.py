@@ -1105,13 +1105,17 @@ class VectorServer(_Journaled):
                         truncate the journal atomically  [donkey 'sync'
                         + 'misc reindex']
 
-    Scale shape: the actor holds only the buffer + tombstones (the IVF
-    read path is probed-partition I/O, never resident); one actor per
-    replica, routing is the caller's load balancer."""
+    Scale shape: the actor holds the buffer, the tombstones and one
+    ``ivf.IVFReader``, whose cache of probed partitions is bounded by
+    its byte budget and is replaced with a fresh reader at ``compact``;
+    one actor per replica, routing is the caller's load balancer."""
 
     def __init__(self, index_dir: str, *,
                  auto_compact_tombstones: "int | None" = None) -> None:
+        from .pipelines.ivf import IVFReader
+
         self.index_dir = index_dir
+        self._reader = IVFReader(index_dir)
         self.auto_compact_tombstones = auto_compact_tombstones
         self._buffer: dict[int, list[float]] = {}
         self._tombstones: set[int] = set()
@@ -1120,18 +1124,6 @@ class VectorServer(_Journaled):
         self._indexed: "object | None" = None
         self._journal_path = os.path.join(index_dir, "vjournal.jsonl")
         self._replay()
-
-    def _segment_paths(self) -> list[str]:
-        import glob as _glob
-
-        paths = sorted(_glob.glob(
-            os.path.join(self.index_dir, "segments", "*.parquet")))
-        if not paths:  # segment layout: part files under the index dir
-            meta = mf.load_meta(self.index_dir)
-            paths = [mf.segment_path(self.index_dir, int(pid))
-                     for pid in meta.get("parts_built", [])]
-            paths = [p for p in paths if os.path.exists(p)]
-        return paths
 
     def _indexed_ids(self):
         """Sorted np.int64 array of vec_ids already in the IVF artifact
@@ -1145,7 +1137,8 @@ class VectorServer(_Journaled):
             import pyarrow.parquet as _pq
 
             parts = []
-            for p in self._segment_paths():
+            for p in mf.built_segment_paths(self.index_dir,
+                                            self._reader.meta):
                 col = _pq.read_table(p, columns=["vec_id"]).column("vec_id")
                 parts.append(col.to_numpy(zero_copy_only=False))
             self._indexed = (np.sort(np.concatenate(parts))
@@ -1249,33 +1242,29 @@ class VectorServer(_Journaled):
         import numpy as np
 
         from .pipelines.ann import _normalize
-        from .pipelines.ivf import ivf_topk
 
         q = np.asarray(query_vectors, dtype=np.float64)
         if q.ndim == 1:
             q = q[None, :]
-        fetch = k + len(self._tombstones)
-        base = ivf_topk(self.index_dir, q, k=fetch, nprobe=nprobe)
-        cand: dict[int, list[tuple[float, int]]] = {
-            qi: [] for qi in range(len(q))}
-        for r in base.to_pylist():
-            if r["vec_id"] not in self._tombstones:
-                cand[r["query_id"]].append((r["cos_sim"], r["vec_id"]))
+        qi, ids, sims = self._reader.topk(
+            q, k + len(self._tombstones), nprobe)
+        if self._tombstones:
+            keep = ~np.isin(ids, np.fromiter(self._tombstones, np.int64))
+            qi, ids, sims = qi[keep], ids[keep], sims[keep]
         if self._buffer:
-            ids = np.asarray(sorted(self._buffer), dtype=np.int64)
+            bids = np.asarray(sorted(self._buffer), dtype=np.int64)
             m = _normalize(np.asarray(
-                [self._buffer[int(i)] for i in ids], dtype=np.float64))
-            qs = _normalize(q) @ m.T  # (nq, n_buffered)
-            for qi in range(len(q)):
-                cand[qi].extend(
-                    (float(s), int(i)) for s, i in zip(qs[qi], ids))
-        out = []
-        for qi in range(len(q)):
-            best = sorted(cand[qi], key=lambda t: (-t[0], t[1]))[:k]
-            out.extend(
-                {"query_id": qi, "rank": r, "vec_id": v, "cos_sim": s}
-                for r, (s, v) in enumerate(best, start=1))
-        return out
+                [self._buffer[int(i)] for i in bids], dtype=np.float64))
+            qi = np.concatenate([qi, np.repeat(np.arange(len(q)), len(bids))])
+            ids = np.concatenate([ids, np.tile(bids, len(q))])
+            sims = np.concatenate([sims, (_normalize(q) @ m.T).ravel()])
+        order = np.lexsort((ids, -sims, qi))  # per query: cos desc, id asc
+        qi, ids, sims = qi[order], ids[order], sims[order]
+        rank = np.arange(len(qi)) - np.searchsorted(qi, qi) + 1
+        keep = rank <= k
+        return [{"query_id": a, "rank": r, "vec_id": v, "cos_sim": s}
+                for a, r, v, s in zip(qi[keep].tolist(), rank[keep].tolist(),
+                                      ids[keep].tolist(), sims[keep].tolist())]
 
     def compact(self, out_dir: str, *, n_lists: int | None = None,
                 num_partitions: int = 4) -> dict:
@@ -1288,7 +1277,7 @@ class VectorServer(_Journaled):
         import pyarrow.parquet as _pq
         import ray.data
 
-        from .pipelines.ivf import build_ivf_index
+        from .pipelines.ivf import IVFReader, build_ivf_index
 
         if mf.is_complete(out_dir):
             # build_ivf_index would no-op on a complete dir and this
@@ -1297,7 +1286,8 @@ class VectorServer(_Journaled):
                 f"compact target {out_dir} already holds a complete "
                 "index; compact to a fresh directory")
         tables = [_pq.read_table(p, columns=["vec_id", "embedding"])
-                  for p in self._segment_paths()]
+                  for p in mf.built_segment_paths(self.index_dir,
+                                                  self._reader.meta)]
         live = pa.concat_tables(tables) if tables else pa.table(
             {"vec_id": pa.array([], pa.int64()),
              "embedding": pa.array([], pa.list_(pa.float64()))})
@@ -1323,6 +1313,7 @@ class VectorServer(_Journaled):
             ray.data.from_arrow(live), out_dir,
             num_partitions=num_partitions, **kwargs)
         self.index_dir = out_dir
+        self._reader = IVFReader(out_dir)
         self._buffer.clear()
         self._tombstones.clear()
         self._indexed = None  # re-derive lazily from the new segments

@@ -32,7 +32,6 @@ cache, else WAND: exact was faster on every shape measured.
 from __future__ import annotations
 
 import bisect
-from collections import OrderedDict
 from functools import reduce
 from itertools import accumulate
 from operator import add
@@ -46,6 +45,7 @@ from ..functions.codec import decode_runs, varbyte_decode
 from ..functions.hashing import candidate_parts
 from ..functions.tokenize import get_tokenizer
 from ..state import manifest as mf
+from ..util import _LRU
 from .. import schemas
 
 _CACHE_GROUPS = 16      # per shard: cached term/df columns and row groups
@@ -55,44 +55,6 @@ _TOPDOCS_K = 256        # ranked depth of a postings entry's ``top``
 # decoded values over every array a postings entry holds: 4M postings
 # of (docs, tfs, dls, scores), ~128 MB per engine at 8 bytes a value
 _POSTINGS_BUDGET = 16_000_000
-
-
-class _LRU:
-    """Least-recently-used map bounded by the summed ``size`` of its
-    values (1 per entry by default: a count bound). ``get`` and ``load``
-    refresh recency; ``put`` evicts oldest-first until the total is
-    within ``budget`` again (a value larger than the whole budget is
-    not kept)."""
-
-    def __init__(self, budget: int, size=lambda v: 1) -> None:
-        self.budget = budget
-        self.size = size
-        self.total = 0
-        self._d: OrderedDict = OrderedDict()
-
-    def get(self, key):
-        v = self._d.get(key)
-        if v is not None:
-            self._d.move_to_end(key)
-        return v
-
-    def put(self, key, value):
-        if key in self._d:
-            self.total -= self.size(self._d.pop(key))
-        self._d[key] = value
-        self.total += self.size(value)
-        while self.total > self.budget:
-            _, old = self._d.popitem(last=False)
-            self.total -= self.size(old)
-        return value
-
-    def load(self, key, compute):
-        """The cached value of ``key``, else ``put(key, compute())``
-        (None values are cached too)."""
-        if key in self._d:
-            self._d.move_to_end(key)
-            return self._d[key]
-        return self.put(key, compute())
 
 
 def _flat_columns(tbl: pa.Table) -> dict:

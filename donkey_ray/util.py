@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pyarrow as pa
-import ray
 
 
 def dataset_to_table(ds) -> pa.Table:
@@ -17,6 +18,7 @@ def dataset_to_table(ds) -> pa.Table:
     side-effecting write stage a second time."""
     if isinstance(ds, pa.Table):
         return ds
+    import ray
     from ray.data.block import BlockAccessor
 
     refs = [
@@ -29,3 +31,41 @@ def dataset_to_table(ds) -> pa.Table:
     if not tables:
         return blocks[0] if blocks else pa.table({})
     return pa.concat_tables(tables, promote_options="default")
+
+
+class _LRU:
+    """Least-recently-used map bounded by the summed ``size`` of its
+    values (1 per entry by default: a count bound). ``get`` and ``load``
+    refresh recency; ``put`` evicts oldest-first until the total is
+    within ``budget`` again (a value larger than the whole budget is
+    not kept)."""
+
+    def __init__(self, budget: int, size=lambda v: 1) -> None:
+        self.budget = budget
+        self.size = size
+        self.total = 0
+        self._d: OrderedDict = OrderedDict()
+
+    def get(self, key):
+        v = self._d.get(key)
+        if v is not None:
+            self._d.move_to_end(key)
+        return v
+
+    def put(self, key, value):
+        if key in self._d:
+            self.total -= self.size(self._d.pop(key))
+        self._d[key] = value
+        self.total += self.size(value)
+        while self.total > self.budget:
+            _, old = self._d.popitem(last=False)
+            self.total -= self.size(old)
+        return value
+
+    def load(self, key, compute):
+        """The cached value of ``key``, else ``put(key, compute())``
+        (None values are cached too)."""
+        if key in self._d:
+            self._d.move_to_end(key)
+            return self._d[key]
+        return self.put(key, compute())

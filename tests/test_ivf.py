@@ -108,6 +108,102 @@ def test_missing_segment_raises(vec_ds, tmp_path):
         prober(batch)
 
 
+def test_reader_under_tiny_budget_answers_exactly(built_ivf, monkeypatch):
+    """A reader budget smaller than one partition evicts on every load,
+    so a reused reader re-reads every partition on every call; it must
+    answer exactly like the default budget: ivf_topk, a reused reader at
+    every nprobe (and brute force at nprobe=None), and a reused kNN-eval
+    prober with its leave-one-out."""
+    from donkey_ray.pipelines import ivf
+    from donkey_ray.pipelines.ann import _IVFNeighborProber
+
+    ds, vecs, out, _ = built_ivf
+    qids = [0, 17, 333, 599]
+    q = vecs[qids]
+    batch = pa.table({
+        "vec_id": pa.array(qids, pa.int64()),
+        "label": pa.array([0, 1, 2, 3], pa.int64()),
+        "embedding": pa.array(q.tolist(), pa.list_(pa.float64())),
+    })
+
+    def answers():
+        reader = ivf.IVFReader(out)
+        hits = [reader.topk(q, 10, n) for n in (None, 4, 1, None)]
+        edges = []
+        for n in (None, 4):
+            prober = _IVFNeighborProber(out, 5, n, "embedding", "vec_id",
+                                        "label")
+            edges += [prober(batch), prober(batch.slice(1))]
+        tables = [ivf_topk(out, q, k=10, nprobe=n) for n in (None, 4)]
+        return reader, hits, edges, tables
+
+    _, want_hits, want_edges, want_tables = answers()
+    monkeypatch.setattr(ivf, "PART_CACHE_BYTES", 1)
+    reader, hits, edges, tables = answers()
+    assert reader._parts.total == 0 and not reader._parts._d  # all evicted
+    for got, want in zip(hits, want_hits):
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+    for got, want in zip(edges + tables, want_edges + want_tables):
+        assert got.equals(want)
+    brute = brute_force_topk(ds, q, k=10)
+    assert tables[0].column("vec_id").equals(brute.column("vec_id"))
+    np.testing.assert_allclose(tables[0].column("cos_sim").to_numpy(),
+                               brute.column("cos_sim").to_numpy(), atol=1e-12)
+    # leave-one-out at full probe: brute force over the other vectors
+    m = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+    nbr = edges[0].column("nbr_id").to_numpy()
+    for i, v in enumerate(qids):
+        s = m @ m[v]
+        s[v] = -np.inf
+        assert nbr[i * 5:(i + 1) * 5].tolist() == \
+            np.lexsort((np.arange(600), -s))[:5].tolist()
+
+
+def test_reader_shared_by_threads_under_eviction(built_ivf, monkeypatch):
+    """One reader searched from several threads at once (an in-process
+    VectorServer behind the threaded HTTP frontend) while a budget of
+    about one partition evicts on nearly every load: every answer equals
+    the single-threaded one and the cache stays within its budget."""
+    import sys
+    import threading
+
+    from donkey_ray.pipelines import ivf
+
+    _, vecs, out, _ = built_ivf
+    monkeypatch.setattr(ivf, "PART_CACHE_BYTES", 40_000)
+    reader = ivf.IVFReader(out)
+    cases = [(vecs[[i, i + 1]], n) for i, n in
+             zip(range(0, 48, 6), (None, 4, 1, 2) * 2)]
+    want = [reader.topk(q, 10, n) for q, n in cases]
+    errors: list = []
+
+    def worker(seed):
+        try:
+            for j in range(40):
+                c = (seed + j) % len(cases)
+                q, nprobe = cases[c]
+                for g, w in zip(reader.topk(q, 10, nprobe), want[c]):
+                    np.testing.assert_array_equal(g, w)
+        except Exception as ex:  # reported by the main thread
+            errors.append(ex)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,))
+                   for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert reader._parts.total <= reader._parts.budget
+
+
 @pytest.mark.parametrize("nprobe", [0, -1])
 def test_nprobe_below_one_raises(built_ivf, nprobe):
     from donkey_ray.pipelines.ann import _IVFNeighborProber

@@ -323,3 +323,30 @@ def test_exact_shard_server_ignores_beam(ray_session, tmp_path):
     for r in res.to_pylist():
         got[r["query_id"]].append(r["vec_id"])
     assert [got[qi] for qi in range(3)] == want
+
+
+def test_missing_graph_segment_raises(ray_session, tmp_path):
+    """A built graph partition whose segment is gone is an integrity
+    error, not a smaller graph: beam search over the rest would drop
+    that partition's edges with no symptom. (A fresh dir: _load_graph
+    is cached per index dir.)"""
+    import ray.data
+
+    from donkey_ray.pipelines.knng import build_knn_graph, graph_topk
+    from donkey_ray.state import manifest as mf
+
+    rng = np.random.default_rng(4)
+    vecs = rng.standard_normal((80, 8))
+    emb = str(tmp_path / "emb.parquet")
+    pq.write_table(pa.table({
+        "vec_id": pa.array(range(80), pa.int64()),
+        "embedding": pa.array(vecs.tolist(), pa.list_(pa.float64())),
+    }), emb)
+    out = str(tmp_path / "graph_lost_segment")
+    meta = build_knn_graph(
+        ray.data.read_parquet(emb, columns=["vec_id", "embedding"]), out,
+        k=4, num_partitions=2)
+    assert meta["parts_built"] == [0, 1]
+    os.unlink(mf.segment_path(out, 1))
+    with pytest.raises(FileNotFoundError, match="missing"):
+        graph_topk(out, emb, vecs[:2], k=5)

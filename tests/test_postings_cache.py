@@ -13,8 +13,9 @@ import random
 
 import pytest
 
-from donkey_ray.stages.score import QueryEngine, _LRU
+from donkey_ray.stages.score import QueryEngine
 from donkey_ray.synth import make_corpus, make_queries
+from donkey_ray.util import _LRU
 
 
 def test_lru_get_refreshes_and_budget_evicts_oldest_first():

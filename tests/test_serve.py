@@ -395,6 +395,78 @@ def test_vector_server_compact_guards(vector_server):
     assert new_view.search(nv, k=1)[0]["vec_id"] == 5000
 
 
+def test_vector_server_refuses_lost_segment(ray_session, tmp_path):
+    """A lost built segment is an integrity error for VectorServer, not
+    a smaller index: the duplicate-insert check raises instead of
+    accepting an indexed vec_id of the lost partition, and compact()
+    raises instead of writing a complete index without that partition.
+    The serving dir, the journal and ping() stay as they were."""
+    import os
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from donkey_ray.pipelines.ivf import build_ivf_index
+    from donkey_ray.serve import VectorServer
+    from donkey_ray.state import manifest as mf
+
+    vecs = _mk_vecs(400, seed=8)
+    idx = str(tmp_path / "vidx_lost")
+    build_ivf_index(ray.data.from_arrow(pa.table({
+        "vec_id": pa.array(range(400), pa.int64()),
+        "embedding": pa.array(vecs.tolist(), pa.list_(pa.float64())),
+    })), idx, n_lists=8, num_partitions=4)
+    first = VectorServer(idx)
+    first.insert([{"vec_id": 5000, "embedding": list(_mk_vecs(1)[0])}])
+    first.delete([2])
+    lost = pq.read_table(mf.segment_path(idx, 1),
+                         columns=["vec_id"]).column("vec_id").to_pylist()
+    os.unlink(mf.segment_path(idx, 1))
+    srv = VectorServer(idx)  # replays the journal; no ids loaded yet
+    with open(srv._journal_path, "rb") as f:
+        journal_before = f.read()
+    ping_before = srv.ping()
+    with pytest.raises(FileNotFoundError, match="missing"):
+        srv.insert([{"vec_id": lost[0], "embedding": list(vecs[lost[0]])}])
+    out = str(tmp_path / "vidx_lost_compacted")
+    with pytest.raises(FileNotFoundError, match="missing"):
+        srv.compact(out)
+    assert not mf.is_complete(out)
+    assert srv.index_dir == idx
+    with open(srv._journal_path, "rb") as f:
+        assert f.read() == journal_before
+    assert srv.ping() == ping_before
+
+
+def test_vector_server_search_after_compact_drops_old_dir(vector_server):
+    """compact() replaces the server's IVF reader: with every partition
+    of the old dir cached and that dir then deleted, search answers
+    exactly like brute force over the compacted vectors."""
+    import shutil
+
+    srv, vecs, tmp_path = vector_server
+    srv.search(vecs[:5], k=10)  # caches every partition of the old dir
+    nv = _mk_vecs(1, seed=61)[0]
+    srv.insert([{"vec_id": 4000, "embedding": list(nv)}])
+    srv.delete([3, 4])
+    old_dir = srv.index_dir
+    srv.compact(str(tmp_path / "vidx_after"))
+    shutil.rmtree(old_dir)
+    keep = [i for i in range(60) if i not in (3, 4)]
+    live_ids = np.array(keep + [4000])
+    live = np.vstack([vecs[keep], nv])
+    live /= np.linalg.norm(live, axis=1, keepdims=True)
+    q = np.vstack([vecs[3], nv, vecs[10]])
+    got = srv.search(q, k=8)
+    for qi in range(3):
+        s = live @ (q[qi] / np.linalg.norm(q[qi]))
+        want = np.lexsort((live_ids, -s))[:8]
+        rows = [r for r in got if r["query_id"] == qi]
+        assert [r["vec_id"] for r in rows] == live_ids[want].tolist()
+        np.testing.assert_allclose([r["cos_sim"] for r in rows], s[want],
+                                   atol=1e-12)
+
+
 def test_serve_flush_preserves_analyzer(ray_session, tmp_path):
     """REGRESSION (analyzer_lang thread-through): a delta flushed by the
     server over a STEM-analyzed base must stem its index-side terms too

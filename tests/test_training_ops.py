@@ -2261,14 +2261,14 @@ def test_knn_label_eval_ivf_equals_broadcast(ray_session, tmp_path):
     idx = str(tmp_path / "evalivf")
     got = dataset_to_table(knn_label_eval(
         ray.data.from_arrow(tbl), k=5, index_dir=idx, n_lists=8,
-        force_ivf=True,  # small input would otherwise auto-broadcast
+        max_broadcast_rows=0,  # small input would otherwise auto-broadcast
     )).sort_by([("vec_id", "ascending")])
     assert got.equals(want)
 
     # layout invariance: a different block structure, same artifact
     relaid = ray.data.from_arrow(tbl).repartition(7)
     got2 = dataset_to_table(knn_label_eval(
-        relaid, k=5, index_dir=idx, n_lists=8, force_ivf=True,
+        relaid, k=5, index_dir=idx, n_lists=8, max_broadcast_rows=0,
     )).sort_by([("vec_id", "ascending")])
     assert got2.equals(want)
 
