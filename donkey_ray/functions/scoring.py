@@ -5,7 +5,9 @@ Engine, oracle and DuckDB oracle SQL all derive from these constants:
   idf(t)     = ln((N - df + 0.5) / (df + 0.5) + 1)        (Lucene-style, >= 0)
   score(d,q) = sum_t idf(t) * tf*(k1+1) / (tf + k1*(1 - b + b*dl/avgdl))
 Ties broken by ascending doc_id. Query terms are DEDUPLICATED (a duplicated
-query term counts once). All math in float64.
+query term counts once). All math in float64. Every ranked answer, per
+query or per group, takes its order from ``topk_order`` (one group) or
+``grouped_topk`` (many): score desc, then id asc, ranked 1..k.
 
 Donkey parallel [PK]: donkey's object-level rerank aggregates per-feature
 match scores (src/donkey.cpp search path, file-level, see SURVEY.md
@@ -66,6 +68,27 @@ def topk_order(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
     cand = np.flatnonzero(scores >= kth)
     order = cand[np.lexsort((doc_ids[cand], -scores[cand]))]
     return order[:k]
+
+
+def group_ranks(sorted_groups: np.ndarray) -> np.ndarray:
+    """Each row's 0-based position within its run of equal values
+    (``sorted_groups`` ascending)."""
+    g = sorted_groups
+    return np.arange(len(g)) - np.searchsorted(g, g)
+
+
+def grouped_topk(groups: np.ndarray, ids: np.ndarray, scores: np.ndarray,
+                 k, *, descending: bool = True) -> np.ndarray:
+    """Row indices of each group's top-k by (score desc, id asc), in
+    (group asc, rank) order — ``topk_order`` for many groups at once.
+    ``k`` is an int or one value per row (equal within a group).
+    ``descending=False`` ranks score asc instead (distances, unsigned
+    keys that cannot be negated). Rows tied on (score, id) keep their
+    input order (the sort is stable)."""
+    key = -scores if descending else scores
+    order = np.lexsort((ids, key, groups))
+    kk = k if np.isscalar(k) else k[order]
+    return order[group_ranks(groups[order]) < kk]
 
 
 class BM25Scorer:

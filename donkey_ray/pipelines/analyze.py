@@ -10,6 +10,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..functions.scoring import grouped_topk
 from ..functions.textstats import LANG_MARKERS, LANG_PRIORITY, STOPWORDS
 from ..functions.tokenize import SimpleTokenizer
 
@@ -540,12 +541,8 @@ def grouped_head(
         g = part.column(group_col).to_numpy(zero_copy_only=False)
         v = part.column(order_col).to_numpy(zero_copy_only=False)
         t = part.column(tie_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((t, -v if descending else v, g))
-        gs = g[order]
-        starts = np.concatenate(([0], np.flatnonzero(gs[1:] != gs[:-1]) + 1))
-        lens = np.diff(np.append(starts, len(gs)))
-        pos = np.arange(len(gs)) - np.repeat(starts, lens)
-        return part.take(pa.array(np.sort(order[pos < n])))
+        keep = grouped_topk(g, t, v, n, descending=descending)
+        return part.take(pa.array(np.sort(keep)))
 
     local_head.__name__ = "grouped_head"
     pre = ds.map_batches(local_head, batch_format="pyarrow",

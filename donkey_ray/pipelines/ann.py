@@ -13,6 +13,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..functions.scoring import group_ranks, grouped_topk
 from ..util import dataset_to_table
 
 
@@ -130,45 +131,41 @@ def brute_force_topk(
         qm = ray.get(q_ref)
         ids = batch.column(id_col).to_numpy(zero_copy_only=False).astype(np.int64)
         m = _normalize(_batch_matrix(batch, vec_col))
-        sims = m @ qm.T  # (batch, nq)
-        out_q, out_id, out_s = [], [], []
-        kk = min(k, len(ids))
-        for qi in range(qm.shape[0]):
-            s = sims[:, qi]
-            idx = np.lexsort((ids, -s))[:kk]
-            out_q.extend([qi] * len(idx))
-            out_id.extend(ids[idx].tolist())
-            out_s.extend(s[idx].tolist())
+        qi, vi, s = _flat_sims(ids, m @ qm.T)
+        sel = grouped_topk(qi, vi, s, k)
         return pa.table(
             {
-                "query_id": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_id, pa.int64()),
-                "cos_sim": pa.array(out_s, pa.float64()),
+                "query_id": pa.array(qi[sel], pa.int64()),
+                "vec_id": pa.array(vi[sel], pa.int64()),
+                "cos_sim": pa.array(s[sel], pa.float64()),
             }
         )
 
     partial = ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
     # global merge: per-query union of per-batch top-k is tiny
     tbl = dataset_to_table(partial)
-    out_rows = {"query_id": [], "rank": [], "vec_id": [], "cos_sim": []}
-    qids = tbl.column("query_id").to_numpy(zero_copy_only=False)
-    vids = tbl.column("vec_id").to_numpy(zero_copy_only=False)
-    sims = tbl.column("cos_sim").to_numpy(zero_copy_only=False)
-    for qi in range(q.shape[0]):
-        m = qids == qi
-        ids_q, sims_q = vids[m], sims[m]
-        idx = np.lexsort((ids_q, -sims_q))[:k]
-        for r, j in enumerate(idx, start=1):
-            out_rows["query_id"].append(qi)
-            out_rows["rank"].append(r)
-            out_rows["vec_id"].append(int(ids_q[j]))
-            out_rows["cos_sim"].append(float(sims_q[j]))
+    return _topk_table(*(tbl.column(c).to_numpy(zero_copy_only=False)
+                        for c in ("query_id", "vec_id", "cos_sim")), k)
+
+
+def _flat_sims(ids: np.ndarray, sims: np.ndarray):
+    """An (n, nq) similarity matrix over ``ids`` as flat (query index,
+    vec_id, cos_sim) rows, query-major."""
+    n, nq = sims.shape
+    return np.repeat(np.arange(nq), n), np.tile(ids, nq), sims.T.ravel()
+
+
+def _topk_table(qi: np.ndarray, ids: np.ndarray, sims: np.ndarray,
+               k: int) -> pa.Table:
+    """Each query's top-k of flat (query index, vec_id, cos_sim) rows by
+    (cos_sim desc, vec_id asc), as (query_id, rank, vec_id, cos_sim)."""
+    sel = grouped_topk(qi, ids, sims, k)
     return pa.table(
         {
-            "query_id": pa.array(out_rows["query_id"], pa.int64()),
-            "rank": pa.array(out_rows["rank"], pa.int32()),
-            "vec_id": pa.array(out_rows["vec_id"], pa.int64()),
-            "cos_sim": pa.array(out_rows["cos_sim"], pa.float64()),
+            "query_id": pa.array(qi[sel], pa.int64()),
+            "rank": pa.array(group_ranks(qi[sel]) + 1, pa.int32()),
+            "vec_id": pa.array(ids[sel], pa.int64()),
+            "cos_sim": pa.array(sims[sel], pa.float64()),
         }
     )
 

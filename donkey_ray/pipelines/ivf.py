@@ -33,8 +33,6 @@ that budget, and re-reads partitions when it does not.
 from __future__ import annotations
 
 import os
-import threading
-import time
 
 import numpy as np
 import pyarrow as pa
@@ -43,7 +41,7 @@ import ray
 import ray.data
 
 from ..functions.hashing import deterministic_sample_mask
-from ..functions.scoring import topk_order
+from ..functions.scoring import group_ranks, topk_order
 from ..state import manifest as mf
 from ..util import _LRU, dataset_to_table
 from .ann import _batch_matrix, _normalize, clamp_nprobe
@@ -206,9 +204,6 @@ class IVFReader:
             "centroid")
         self._parts = _LRU(PART_CACHE_BYTES,
                            size=lambda e: sum(a.nbytes for a in e))
-        # an in-process VectorServer behind the threaded HTTP frontend
-        # is searched from several request threads at once
-        self._parts_lock = threading.Lock()
 
     def _read_part(self, part: int) -> tuple:
         paths = mf.built_segment_paths(self.index_dir, self.meta, [part])
@@ -247,9 +242,8 @@ class IVFReader:
         empty = (np.zeros(0, np.int64), np.zeros(0))
         best = [empty] * len(q)
         for part in parts:
-            with self._parts_lock:
-                lists, ids, m = self._parts.load(
-                    part, lambda: self._read_part(part))
+            lists, ids, m = self._parts.load(
+                part, lambda: self._read_part(part))
             if not len(ids):
                 continue
             sims_all = m @ q.T  # (part_rows, n_queries)
@@ -297,8 +291,7 @@ def ivf_topk(
     qi, ids, sims = IVFReader(index_dir).topk(query_vectors, k, nprobe)
     return pa.table({
         "query_id": pa.array(qi, pa.int64()),
-        "rank": pa.array(np.arange(len(qi)) - np.searchsorted(qi, qi) + 1,
-                         pa.int32()),
+        "rank": pa.array(group_ranks(qi) + 1, pa.int32()),
         "vec_id": pa.array(ids, pa.int64()),
         "cos_sim": pa.array(sims, pa.float64()),
     })

@@ -55,12 +55,12 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..functions.scoring import grouped_topk
 from ..state import manifest as mf
 from ..util import dataset_to_table
 from .ann import _batch_matrix, clamp_nprobe
 from .kmeans import _assign_ids, _quantize, kmeans_fit, lloyd_fit
-from .pq import (_adc_tables, _candidates, _code_matrix, _encode_codes,
-                 _merge_topk)
+from .pq import _adc_tables, _code_matrix, _dist_topk, _encode_codes
 
 IVFPQ_FORMAT_VERSION = 1
 IVFPQ_NLISTS = 4   # coarse lists
@@ -282,18 +282,17 @@ def ivfpq_topk(
     # probe selection: exact ||q - c||^2, ties toward the smaller list
     diff = qm[:, None, :] - cn[None, :, :]
     cd = np.einsum("qld,qld->ql", diff, diff)
-    list_ids = np.arange(n_lists, dtype=np.int64)
-    probe = np.stack([
-        np.lexsort((list_ids, cd[qi]))[:nprobe] for qi in range(nq)
-    ])  # (nq, nprobe) of 0-based lists
+    near = grouped_topk(np.repeat(np.arange(nq), n_lists),
+                        np.tile(np.arange(n_lists), nq), cd.ravel(), nprobe,
+                        descending=False)
+    probe = (near % n_lists).reshape(nq, nprobe)  # 0-based lists
 
     # dtab[qi, slot, si, code] = ||(q - coarse[list])_sub - book||^2
     resid = (qm[:, None, :] - cn[probe]).reshape(nq * nprobe, cn.shape[1])
     dtab = _adc_tables(resid, bn).reshape(nq, nprobe, m, bn[0].shape[0])
     # slot_of[qi, list] = probe slot or -1
     slot_of = np.full((nq, n_lists), -1, dtype=np.int64)
-    for qi in range(nq):
-        slot_of[qi, probe[qi]] = np.arange(nprobe)
+    slot_of[np.arange(nq)[:, None], probe] = np.arange(nprobe)
     ship = ray.put((dtab, slot_of))
 
     # a partition whose every coarse list is EMPTY legitimately has no
@@ -303,42 +302,29 @@ def ivfpq_topk(
     parts = np.unique(np.unique(probe) % meta["num_partitions"])
     paths = mf.built_segment_paths(out_dir, meta, parts)
     if not paths:
-        return _merge_topk(_candidates([], [], []), nq, k)
-
-    subs = np.arange(m)
+        empty = np.zeros(0, np.int64)
+        return _dist_topk(empty, empty, empty, k)
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _candidates([], [], [])
         dt, so = ray.get(ship)
         lists0 = batch.column("list_id").to_numpy(
             zero_copy_only=False).astype(np.int64) - 1
         ids = batch.column("vec_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
         codes = _code_matrix(batch, m)
-        out_q, out_id, out_d = [], [], []
-        for qi in range(nq):
-            slots = so[qi][lists0]
-            sel = slots >= 0
-            if not sel.any():
-                continue
-            tabs = dt[qi, slots[sel]]  # (nsel, m, K)
-            d = tabs[
-                np.arange(tabs.shape[0])[:, None], subs[None, :], codes[sel]
-            ].sum(axis=1)
-            ids_q = ids[sel]
-            kk = min(k, len(ids_q))
-            idx = np.lexsort((ids_q, d))[:kk]
-            out_q.extend([qi] * len(idx))
-            out_id.extend(ids_q[idx].tolist())
-            out_d.extend(d[idx].tolist())
-        return _candidates(out_q, out_id, out_d)
+        # every (query, row) pair whose row lies in a list it probes
+        slots = so[:, lists0]
+        qi, row = np.nonzero(slots >= 0)
+        slot = slots[qi, row]
+        d = sum(dt[qi, slot, s, codes[row, s]] for s in range(m))
+        return _dist_topk(qi, ids[row], d, k)
 
-    tbl = dataset_to_table(
+    cand = dataset_to_table(
         ray.data.read_parquet(paths)
         .map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
     )
-    return _merge_topk(tbl, nq, k)
+    return _dist_topk(*(cand.column(c).to_numpy(zero_copy_only=False)
+                        for c in ("query_id", "vec_id", "dist")), k)
 
 
 # --- DuckDB oracle: coarse chain + residual PQ chains + probed ADC ----

@@ -50,9 +50,10 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
 
+from ..functions.scoring import group_ranks
 from ..state import manifest as mf
 from ..util import dataset_to_table
-from .ann import _batch_matrix, _normalize
+from .ann import _batch_matrix, _flat_sims, _normalize, _topk_table
 
 FORMAT_VERSION = 1
 MAX_BF_BUCKET = 256     # all-pairs init below this bucket size
@@ -311,7 +312,7 @@ def build_knn_graph(
 
     def topk_per_src(part: pa.Table) -> pa.Table:
         """(src, dst, sim) rows -> per src: distinct dst, top-k by
-        (sim desc, dst asc). Vectorized run-slicing."""
+        (sim desc, dst asc)."""
         if part.num_rows == 0:
             return part
         s = part.column("src").to_numpy(zero_copy_only=False)
@@ -322,9 +323,7 @@ def build_knn_graph(
         first = np.ones(len(s), dtype=bool)
         first[1:] = (s[1:] != s[:-1]) | (d[1:] != d[:-1])
         s, d, v = s[first], d[first], v[first]
-        starts = np.r_[0, np.flatnonzero(s[1:] != s[:-1]) + 1]
-        rank = np.arange(len(s)) - np.repeat(starts, np.diff(np.r_[starts, len(s)]))
-        keep = rank < k
+        keep = group_ranks(s) < k
         return pa.table({"src": pa.array(s[keep], pa.int64()),
                          "dst": pa.array(d[keep], pa.int64()),
                          "sim": pa.array(v[keep], pa.float64())})
@@ -721,23 +720,7 @@ class _GraphShardServer:
     def _exact_topk(self, query_vectors: np.ndarray, k: int) -> pa.Table:
         ids, m = self.vectors
         q = _normalize(np.asarray(query_vectors, dtype=np.float64))
-        out = {"query_id": [], "rank": [], "vec_id": [], "cos_sim": []}
-        if len(ids):
-            sims = m @ q.T  # (n_shard, nq)
-            kk = min(k, len(ids))
-            for qi in range(q.shape[0]):
-                s = sims[:, qi]
-                idx = np.lexsort((ids, -s))[:kk]
-                out["query_id"].extend([qi] * len(idx))
-                out["rank"].extend(range(1, len(idx) + 1))
-                out["vec_id"].extend(ids[idx].tolist())
-                out["cos_sim"].extend(s[idx].tolist())
-        return pa.table({
-            "query_id": pa.array(out["query_id"], pa.int64()),
-            "rank": pa.array(out["rank"], pa.int32()),
-            "vec_id": pa.array(out["vec_id"], pa.int64()),
-            "cos_sim": pa.array(out["cos_sim"], pa.float64()),
-        })
+        return _topk_table(*_flat_sims(ids, m @ q.T), k)
 
     def topk(self, query_vectors: np.ndarray, k: int, beam: int) -> pa.Table:
         if self.exact:
@@ -778,20 +761,5 @@ def sharded_graph_topk(
         for a in actors:
             ray.kill(a)
     allt = pa.concat_tables(tables)
-    q = allt.column("query_id").to_numpy(zero_copy_only=False)
-    v = allt.column("vec_id").to_numpy(zero_copy_only=False)
-    s = allt.column("cos_sim").to_numpy(zero_copy_only=False)
-    out = {"query_id": [], "rank": [], "vec_id": [], "cos_sim": []}
-    for qi in np.unique(q):
-        m = np.flatnonzero(q == qi)
-        order = m[np.lexsort((v[m], -s[m]))][:k]
-        out["query_id"].extend([int(qi)] * len(order))
-        out["rank"].extend(range(1, len(order) + 1))
-        out["vec_id"].extend(int(x) for x in v[order])
-        out["cos_sim"].extend(float(x) for x in s[order])
-    return pa.table({
-        "query_id": pa.array(out["query_id"], pa.int64()),
-        "rank": pa.array(out["rank"], pa.int32()),
-        "vec_id": pa.array(out["vec_id"], pa.int64()),
-        "cos_sim": pa.array(out["cos_sim"], pa.float64()),
-    })
+    return _topk_table(*(allt.column(c).to_numpy(zero_copy_only=False)
+                         for c in ("query_id", "vec_id", "cos_sim")), k)

@@ -46,6 +46,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..functions.scoring import group_ranks, grouped_topk
 from ..state import manifest as mf
 from ..util import dataset_to_table
 from .ann import _batch_matrix
@@ -151,36 +152,17 @@ def _adc_tables(rows: np.ndarray, bn: list[np.ndarray]) -> np.ndarray:
     return np.stack(tabs, axis=1)
 
 
-def _candidates(out_q: list, out_id: list, out_d: list) -> pa.Table:
-    """One batch's per-query top-k candidates (query_id, vec_id, dist)."""
+def _dist_topk(qi: np.ndarray, ids: np.ndarray, dist: np.ndarray,
+               k: int) -> pa.Table:
+    """Each query's top-k of flat (query index, vec_id, dist) rows by
+    (dist asc, vec_id asc), as (query_id, rank, vec_id, dist) — one
+    batch's candidates and, over all of them, the driver merge."""
+    sel = grouped_topk(qi, ids, dist, k, descending=False)
     return pa.table({
-        "query_id": pa.array(out_q, pa.int64()),
-        "vec_id": pa.array(out_id, pa.int64()),
-        "dist": pa.array(out_d, pa.int64()),
-    })
-
-
-def _merge_topk(tbl: pa.Table, nq: int, k: int) -> pa.Table:
-    """Driver merge of the batches' candidates to (query_id, rank, vec_id,
-    dist) per query, ties dist asc then vec_id asc."""
-    qids = tbl.column("query_id").to_numpy(zero_copy_only=False)
-    vids = tbl.column("vec_id").to_numpy(zero_copy_only=False)
-    dists = tbl.column("dist").to_numpy(zero_copy_only=False)
-    out = {"query_id": [], "rank": [], "vec_id": [], "dist": []}
-    for qi in range(nq):
-        sel = qids == qi
-        ids_q, d_q = vids[sel], dists[sel]
-        idx = np.lexsort((ids_q, d_q))[:k]
-        for r, j in enumerate(idx, start=1):
-            out["query_id"].append(qi)
-            out["rank"].append(r)
-            out["vec_id"].append(int(ids_q[j]))
-            out["dist"].append(int(d_q[j]))
-    return pa.table({
-        "query_id": pa.array(out["query_id"], pa.int64()),
-        "rank": pa.array(out["rank"], pa.int32()),
-        "vec_id": pa.array(out["vec_id"], pa.int64()),
-        "dist": pa.array(out["dist"], pa.int64()),
+        "query_id": pa.array(qi[sel], pa.int64()),
+        "rank": pa.array(group_ranks(qi[sel]) + 1, pa.int32()),
+        "vec_id": pa.array(ids[sel], pa.int64()),
+        "dist": pa.array(dist[sel], pa.int64()),
     })
 
 
@@ -206,28 +188,20 @@ def pq_search(
     dtab_ref = ray.put(_adc_tables(qm, bn))  # [qi, si, c], exact int64
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _candidates([], [], [])
         dt = ray.get(dtab_ref)
         ids = batch.column("vec_id").to_numpy(
             zero_copy_only=False).astype(np.int64)
         codes = _code_matrix(batch, m)
-        out_q, out_id, out_d = [], [], []
-        kk = min(k, len(ids))
-        subs = np.arange(m)
-        for qi in range(nq):
-            d = dt[qi][subs[None, :], codes].sum(axis=1)
-            idx = np.lexsort((ids, d))[:kk]
-            out_q.extend([qi] * len(idx))
-            out_id.extend(ids[idx].tolist())
-            out_d.extend(d[idx].tolist())
-        return _candidates(out_q, out_id, out_d)
+        # d[qi, row] = sum over subspaces of dt[qi, sub, code], one
+        # (nq, rows) lookup per subspace
+        d = sum(dt[:, s, codes[:, s]] for s in range(m))
+        return _dist_topk(np.repeat(np.arange(nq), len(ids)),
+                          np.tile(ids, nq), d.ravel(), k)
 
-    tbl = dataset_to_table(
-        encoded.map_batches(local_topk, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    )
-    return _merge_topk(tbl, nq, k)
+    cand = dataset_to_table(encoded.map_batches(
+        local_topk, batch_format="pyarrow", zero_copy_batch=True))
+    return _dist_topk(*(cand.column(c).to_numpy(zero_copy_only=False)
+                        for c in ("query_id", "vec_id", "dist")), k)
 
 
 # --- DuckDB oracle: per-subspace k-means chains + ADC, all integer ----

@@ -15,7 +15,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..stages.score import QueryEngine
+from ..stages.score import QueryEngine, _engine_topk
 
 
 class QueryScorerStage:
@@ -27,50 +27,26 @@ class QueryScorerStage:
     disjunctive BM25 over the matching terms), "phrase" (exact
     positional phrase), or "near" (proximity-filtered conjunctive BM25
     within ``window`` positions of the anchor term; the latter two need
-    an index built with positions=True)."""
+    an index built with positions=True). Every kind but "all" goes
+    through the serving surfaces' one dispatch, ``_engine_topk``; "not"
+    batches carry an extra neg_text column and "msm" batches a
+    min_match column."""
 
     def __init__(self, index_dir: str, mode: str = "auto",
                  kind: str = "topk", window: int = 4) -> None:
         self.engine = QueryEngine(index_dir, mode=mode)
         self.kind = kind
-        if kind == "not":
-            # boolean NOT: batches carry an extra neg_text column
-            self.run = self.engine.not_topk
-        elif kind == "msm":
-            # min_should_match: batches carry an extra min_match column
-            self.run = self.engine.msm_topk
-        elif kind == "phrase":
-            self.run = self.engine.phrase_topk
-        elif kind == "near":
-            eng = self.engine
-            self.run = lambda text, k: eng.near_topk(text, k, window=window)
-        elif kind == "sloppy":
-            # slop-scored phrase; slop rides the window parameter
-            eng = self.engine
-            self.run = lambda text, k: eng.sloppy_topk(text, k, slop=window)
-        elif kind == "and":
-            self.run = self.engine.and_topk
-        elif kind == "bool":
-            # nested boolean DSL: text IS the expression
-            self.run = self.engine.bool_topk
-        elif kind == "prefix":
-            self.run = self.engine.prefix_topk
-        elif kind == "all":
-            # untruncated hit set as numpy arrays (no rank column, no
-            # per-hit Python objects) — the collapse/filter feed
-            self.run = self.engine.score_all
-        elif kind == "topk":
-            self.run = self.engine.topk
-        else:
-            raise ValueError(f"unknown query kind: {kind!r}")
+        self.window = window
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
 
         if self.kind == "all":
+            # untruncated hit set as numpy arrays (no rank column, no
+            # per-hit Python objects) — the collapse/filter feed
             out_q, out_d, out_s = [], [], []
             for row in batch.to_pylist():
-                res = self.run(row["text"])
+                res = self.engine.score_all(row["text"])
                 if res is None:
                     continue
                 d, s = res
@@ -93,22 +69,21 @@ class QueryScorerStage:
             )
         qids, ranks, docs, scores = [], [], [], []
         for row in batch.to_pylist():
+            kw = {}
             if self.kind == "not":
-                hits = self.run(row["text"], row.get("neg_text") or "",
-                                int(row["k"]))
+                kw["neg_text"] = row.get("neg_text") or ""
             elif self.kind == "msm":
-                hits = self.run(row["text"], int(row["k"]),
-                                int(row["min_match"]))
-            elif self.kind == "prefix":
+                kw["min_match"] = int(row["min_match"])
+            try:
+                hits = _engine_topk(self.engine, row["text"], int(row["k"]),
+                                    kind=self.kind, window=self.window, **kw)
+            except ValueError:
                 # a too-broad prefix raises in the library API (a guard,
                 # not a crash); in serving it must cost one empty result,
                 # never the whole batch/actor (same invariant as bool)
-                try:
-                    hits = self.run(row["text"], int(row["k"]))
-                except ValueError:
-                    hits = []
-            else:
-                hits = self.run(row["text"], int(row["k"]))
+                if self.kind != "prefix":
+                    raise
+                hits = []
             for r, (d, s) in enumerate(hits, start=1):
                 qids.append(int(row["query_id"]))
                 ranks.append(r)
@@ -303,7 +278,8 @@ def scatter_gather_topk(
     eng = QueryEngine(index_dir)  # meta + routing only; loads no segments
     if len(eng.index_dirs) != 1:
         raise ValueError("scatter_gather_topk serves a single index")
-    avgdl, n_docs = eng.avgdl, eng.n_docs
+    # plain values for the task closures: the engine's caches hold locks
+    avgdl, n_docs, block_size = eng.avgdl, eng.n_docs, eng.block_size
     scorer = eng.scorer
     empty = pa.table(
         {
@@ -330,6 +306,12 @@ def scatter_gather_topk(
                     route_rows.append((part, term, qid, k))
     if not route_rows:
         return empty
+    # per-row k: query ids sorted, looked up by binary search
+    qk = np.array(sorted(per_query_k.items()), dtype=np.int64)
+
+    def k_of(q):
+        return qk[np.searchsorted(qk[:, 0], q), 1]
+
     # a built partition whose segment is gone raises here, on the driver
     parts = sorted({p for p, *_ in route_rows})
     seg_path = dict(zip(parts, mf.built_segment_paths(index_dir, eng.meta,
@@ -398,7 +380,7 @@ def scatter_gather_topk(
         found = [(str(t), row) for t in np.unique(terms)
                  if (row := shard.find(str(t))) is not None]
         decoded = decode_runs([(r["doc_ids"], r["tfs"], r["dls"], r["df"])
-                               for _, r in found], eng.block_size)
+                               for _, r in found], block_size)
         for (term, _), (ids, tfs, dls) in zip(found, decoded):
             contrib = idf_by_term[term] * scorer.tf_weight(
                 tfs.astype(np.float64), dls.astype(np.float64), avgdl
@@ -449,13 +431,7 @@ def scatter_gather_topk(
         q = agg.column("query_id").to_numpy(zero_copy_only=False)
         d = agg.column("doc_id").to_numpy(zero_copy_only=False)
         s = agg.column("partial_sum").to_numpy(zero_copy_only=False)
-        order = np.lexsort((d, -s, q))  # query asc, score desc, doc asc
-        q, d, s = q[order], d[order], s[order]
-        starts = np.concatenate(([0], np.flatnonzero(q[1:] != q[:-1]) + 1))
-        lens = np.diff(np.concatenate((starts, [len(q)])))
-        pos = np.arange(len(q)) - np.repeat(starts, lens)
-        ks = np.array([per_query_k.get(int(qq), 0) for qq in q[starts]])
-        keep = pos < np.repeat(ks, lens)
+        keep = scoring.grouped_topk(q, d, s, k_of(q))
         return pa.table(
             {
                 "query_id": pa.array(q[keep]),
@@ -475,26 +451,16 @@ def scatter_gather_topk(
         return empty
 
     # --- driver merge: P*k candidate rows per query ---
-    out_q: list[np.ndarray] = []
-    out_r: list[np.ndarray] = []
-    out_d: list[np.ndarray] = []
-    out_s: list[np.ndarray] = []
     q = cand.column("query_id").to_numpy(zero_copy_only=False)
     d = cand.column("doc_id").to_numpy(zero_copy_only=False)
     s = cand.column("score").to_numpy(zero_copy_only=False)
-    for qid in np.unique(q):
-        m = q == qid
-        sel = scoring.topk_order(d[m], s[m], per_query_k.get(int(qid), 0))
-        out_q.append(np.full(len(sel), qid, dtype=np.int64))
-        out_r.append(np.arange(1, len(sel) + 1, dtype=np.int32))
-        out_d.append(d[m][sel])
-        out_s.append(s[m][sel])
+    sel = scoring.grouped_topk(q, d, s, k_of(q))
     return pa.table(
         {
-            "query_id": pa.array(np.concatenate(out_q), pa.int64()),
-            "rank": pa.array(np.concatenate(out_r), pa.int32()),
-            "doc_id": pa.array(np.concatenate(out_d), pa.int64()),
-            "score": pa.array(np.concatenate(out_s), pa.float64()),
+            "query_id": pa.array(q[sel], pa.int64()),
+            "rank": pa.array(scoring.group_ranks(q[sel]) + 1, pa.int32()),
+            "doc_id": pa.array(d[sel], pa.int64()),
+            "score": pa.array(s[sel], pa.float64()),
         }
     )
 
@@ -552,80 +518,50 @@ def collapse_topk(
         keyed_partition_map(joined, ["query_id", field], group_argmax,
                             num_partitions=num_partitions)
     )
-    out_q, out_r, out_d, out_s, out_f = [], [], [], [], []
     q = best.column("query_id").to_numpy(zero_copy_only=False)
     d = best.column("doc_id").to_numpy(zero_copy_only=False)
     s = best.column("score").to_numpy(zero_copy_only=False)
-    f = best.column(field).to_pylist()
-    for qid in np.unique(q):
-        m = q == qid
-        sel = scoring.topk_order(d[m], s[m], k)
-        idx = np.flatnonzero(m)[sel]
-        out_q.extend([int(qid)] * len(sel))
-        out_r.extend(range(1, len(sel) + 1))
-        out_d.extend(int(x) for x in d[idx])
-        out_s.extend(float(x) for x in s[idx])
-        out_f.extend(f[i] for i in idx)
+    sel = scoring.grouped_topk(q, d, s, k)
     return pa.table(
         {
-            "query_id": pa.array(out_q, pa.int64()),
-            "rank": pa.array(out_r, pa.int32()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64()),
-            field: pa.array(out_f, pa.string()),
+            "query_id": pa.array(q[sel], pa.int64()),
+            "rank": pa.array(scoring.group_ranks(q[sel]) + 1, pa.int32()),
+            "doc_id": pa.array(d[sel], pa.int64()),
+            "score": pa.array(s[sel], pa.float64()),
+            field: best.column(field).take(sel).cast(pa.string()),
         }
     )
 
 
-def _per_query_topk_fold(k: int, name: str):
-    """Partition-local fold shared by the hit-set rankers: per query_id,
-    keep the top-k rows by the pinned (score desc, doc_id asc) order."""
+def _per_query_topk(hits: ray.data.Dataset, k: int, name: str,
+                    num_partitions: int | None) -> pa.Table:
+    """Per-query top-k of a (query_id, doc_id, score) hit stream, the
+    hit-set rankers' shared tail: each query_id-keyed partition keeps
+    its own top-k rows, then the driver ranks the survivors 1..k."""
     import numpy as np
 
-    from ..functions import scoring
+    from ..functions.scoring import group_ranks, grouped_topk
+    from ..stages.exchange import keyed_partition_map
+    from ..util import dataset_to_table
+
+    def columns(t: pa.Table):
+        return [t.column(c).to_numpy(zero_copy_only=False) if t.num_rows
+                else np.zeros(0, np.int64)
+                for c in ("query_id", "doc_id", "score")]
 
     def local_topk(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return part
-        q = part.column("query_id").to_numpy(zero_copy_only=False)
-        d = part.column("doc_id").to_numpy(zero_copy_only=False)
-        s = part.column("score").to_numpy(zero_copy_only=False)
-        keep: list[int] = []
-        for qid in np.unique(q):
-            m = np.flatnonzero(q == qid)
-            sel = scoring.topk_order(d[m], s[m], k)
-            keep.extend(m[sel])
-        return part.take(pa.array(sorted(keep)))
+        return part.take(pa.array(grouped_topk(*columns(part), k)))
 
     local_topk.__name__ = name
-    return local_topk
-
-
-def _merge_topk_survivors(cand: pa.Table, k: int) -> pa.Table:
-    """Driver merge of the per-partition survivors: final per-query
-    top-k with 1-based ranks, same pinned order as the fold."""
-    import numpy as np
-
-    from ..functions import scoring
-
-    out_q, out_r, out_d, out_s = [], [], [], []
-    if cand.num_rows:
-        q = cand.column("query_id").to_numpy(zero_copy_only=False)
-        d = cand.column("doc_id").to_numpy(zero_copy_only=False)
-        s = cand.column("score").to_numpy(zero_copy_only=False)
-        for qid in np.unique(q):
-            m = q == qid
-            sel = scoring.topk_order(d[m], s[m], k)
-            out_q.extend([int(qid)] * len(sel))
-            out_r.extend(range(1, len(sel) + 1))
-            out_d.extend(int(x) for x in d[m][sel])
-            out_s.extend(float(x) for x in s[m][sel])
+    q, d, s = columns(dataset_to_table(keyed_partition_map(
+        hits, ["query_id"], local_topk, num_partitions=num_partitions)))
+    sel = grouped_topk(q, d, s, k)
     return pa.table(
         {
-            "query_id": pa.array(out_q, pa.int64()),
-            "rank": pa.array(out_r, pa.int32()),
-            "doc_id": pa.array(out_d, pa.int64()),
-            "score": pa.array(out_s, pa.float64()),
+            "query_id": pa.array(q[sel], pa.int64()),
+            "rank": pa.array(group_ranks(q[sel]) + 1, pa.int32()),
+            "doc_id": pa.array(d[sel], pa.int64()),
+            "score": pa.array(s[sel], pa.float64()),
         }
     )
 
@@ -656,8 +592,6 @@ def filtered_topk(
 
     import pyarrow.dataset as pads
 
-    from ..stages.exchange import keyed_partition_map
-    from ..util import dataset_to_table
     from .joins import hash_join
 
     hits = score_queries(index_dir, queries, kind="all")
@@ -667,13 +601,7 @@ def filtered_topk(
     )
     kept = hash_join(hits, docs, left_on="doc_id", right_on="doc_id",
                      how="semi", num_partitions=num_partitions)
-    cand = dataset_to_table(
-        keyed_partition_map(
-            kept, ["query_id"],
-            _per_query_topk_fold(k, "filtered_local_topk"),
-            num_partitions=num_partitions)
-    )
-    return _merge_topk_survivors(cand, k)
+    return _per_query_topk(kept, k, "filtered_local_topk", num_partitions)
 
 
 def threshold_topk(
@@ -695,9 +623,6 @@ def threshold_topk(
     driver merge."""
     import pyarrow.compute as pc
 
-    from ..stages.exchange import keyed_partition_map
-    from ..util import dataset_to_table
-
     hits = score_queries(index_dir, queries, kind="all")
 
     def above(batch: pa.Table) -> pa.Table:
@@ -712,13 +637,7 @@ def threshold_topk(
     above.__name__ = "threshold_filter"
     kept = hits.map_batches(above, batch_format="pyarrow",
                             zero_copy_batch=True)
-    cand = dataset_to_table(
-        keyed_partition_map(
-            kept, ["query_id"],
-            _per_query_topk_fold(k, "threshold_local_topk"),
-            num_partitions=num_partitions)
-    )
-    return _merge_topk_survivors(cand, k)
+    return _per_query_topk(kept, k, "threshold_local_topk", num_partitions)
 
 
 def sort_by_field_topk(
@@ -743,8 +662,7 @@ def sort_by_field_topk(
     materialized."""
     import os
 
-    import numpy as np
-
+    from ..functions.scoring import group_ranks
     from ..stages.exchange import keyed_partition_map
     from ..util import dataset_to_table
     from .joins import hash_join
@@ -755,23 +673,22 @@ def sort_by_field_topk(
     )
     joined = hash_join(hits, docs, left_on="doc_id", right_on="doc_id",
                        how="inner", num_partitions=num_partitions)
+    order = [("query_id", "ascending"), (field, "descending"),
+             ("doc_id", "ascending")]
 
-    def _fold(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return part
-        q = part.column("query_id").to_numpy(zero_copy_only=False)
-        keep: list[int] = []
-        sorted_part = part.sort_by(
-            [(field, "descending"), ("doc_id", "ascending")])
-        qs = sorted_part.column("query_id").to_numpy(zero_copy_only=False)
-        for qid in np.unique(q):
-            m = np.flatnonzero(qs == qid)[:k]
-            keep.extend(m)
-        return sorted_part.take(pa.array(sorted(keep)))
+    def first_k(t: pa.Table) -> pa.Table:
+        """Each query's first k rows in ``order`` (an Arrow sort, so
+        the field keeps its type)."""
+        if t.num_rows == 0:
+            return t
+        t = t.sort_by(order)
+        ranks = group_ranks(t.column("query_id").to_numpy(
+            zero_copy_only=False))
+        return t.filter(pa.array(ranks < k))
 
-    _fold.__name__ = "sortfield_local_topk"
+    first_k.__name__ = "sortfield_local_topk"
     cand = dataset_to_table(
-        keyed_partition_map(joined, ["query_id"], _fold,
+        keyed_partition_map(joined, ["query_id"], first_k,
                             num_partitions=num_partitions)
     )
     # the sort field flows through with its ORIGINAL Arrow type (take,
@@ -788,19 +705,12 @@ def sort_by_field_topk(
                 field: pa.array([], ftype),
             }
         )
-    cand = cand.sort_by([(field, "descending"), ("doc_id", "ascending")])
-    q = cand.column("query_id").to_numpy(zero_copy_only=False)
-    out_q, out_r, keep = [], [], []
-    for qid in np.unique(q):
-        m = np.flatnonzero(q == qid)[:k]
-        keep.extend(int(x) for x in m)
-        out_q.extend([int(qid)] * len(m))
-        out_r.extend(range(1, len(m) + 1))
-    sel = cand.take(pa.array(keep, pa.int64()))
+    sel = first_k(cand)
+    q = sel.column("query_id").to_numpy(zero_copy_only=False)
     return pa.table(
         {
-            "query_id": pa.array(out_q, pa.int64()),
-            "rank": pa.array(out_r, pa.int32()),
+            "query_id": pa.array(q, pa.int64()),
+            "rank": pa.array(group_ranks(q) + 1, pa.int32()),
             "doc_id": sel.column("doc_id"),
             field: sel.column(field),
         }

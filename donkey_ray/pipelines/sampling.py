@@ -7,7 +7,7 @@ ascending splitmix64(id) with id tie-break — the training-data
 choice depends only on (group, id), never on block layout).
 
 Scale shape: each input batch is pre-reduced to at most ``n`` rows per
-group it contains (vectorized sort + run-slice), so the keyed exchange
+group it contains (`scoring.grouped_topk`), so the keyed exchange
 that follows moves O(n_groups * n * blocks) rows, never the corpus; the
 final per-group selection runs once per hash partition. No stage holds
 more than one partition of the pre-reduced stream.
@@ -20,24 +20,8 @@ import pyarrow as pa
 import ray.data
 
 from ..functions.hashing import splitmix64
+from ..functions.scoring import group_ranks, grouped_topk
 from ..stages.exchange import keyed_partition_map
-
-
-def _topn_per_group(
-    keys: np.ndarray, ids: np.ndarray, z: np.ndarray, n: int
-) -> np.ndarray:
-    """Indices of the <=n rows with smallest (z, id) within each key run
-    (rows need not be pre-grouped). Vectorized: lexsort + run-slice."""
-    if len(keys) == 0:  # run_id[starts] on a 0-length input would raise
-        return np.empty(0, dtype=np.int64)
-    order = np.lexsort((ids, z, keys))
-    ks = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-    run_id = np.zeros(len(ks), dtype=np.int64)
-    run_id[starts] = 1
-    run_id = np.cumsum(run_id) - 1
-    offset = np.arange(len(ks), dtype=np.int64) - starts[run_id]
-    return order[offset < n]
 
 
 def stratified_sample(
@@ -60,7 +44,7 @@ def stratified_sample(
         z = splitmix64(ids.astype(np.uint64))
         keys = batch.column(key_col).to_numpy(zero_copy_only=False)
         codes, inv = np.unique(keys, return_inverse=True)
-        sel = _topn_per_group(inv, ids, z, n)
+        sel = grouped_topk(inv, ids, z, n, descending=False)
         return pa.table(
             {
                 key_col: pa.array(keys[sel]),
@@ -89,21 +73,12 @@ def stratified_sample(
         ids = part.column(id_col).to_numpy(zero_copy_only=False)
         z = part.column("__z").to_numpy(zero_copy_only=False)
         codes, inv = np.unique(keys, return_inverse=True)
-        order = np.lexsort((ids, z, inv))
-        ks = inv[order]
-        starts = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
-        run_id = np.zeros(len(ks), dtype=np.int64)
-        run_id[starts] = 1
-        run_id = np.cumsum(run_id) - 1
-        rank = np.arange(len(ks), dtype=np.int64) - starts[run_id]
-        sel = order[rank < n]
+        sel = grouped_topk(inv, ids, z, n, descending=False)
         return pa.table(
             {
                 key_col: pa.array(keys[sel]),
                 id_col: pa.array(ids[sel].astype(np.int64), pa.int64()),
-                "sample_rank": pa.array(
-                    (rank[rank < n] + 1).astype(np.int32), pa.int32()
-                ),
+                "sample_rank": pa.array(group_ranks(inv[sel]) + 1, pa.int32()),
             }
         )
 

@@ -45,11 +45,13 @@ near-linearly with replicas — BENCH/bench_s17_serving.json).
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 
 import ray
 
+from .stages.score import _engine_topk
 from .state import journal
 from .state import manifest as mf
 
@@ -73,37 +75,6 @@ def _next_compact_dir(base: str) -> str:
     while os.path.exists(f"{base}_compact_{i}"):
         i += 1
     return f"{base}_compact_{i}"
-
-
-def _engine_topk(engine, text: str, fetch_k: int, *, kind: str = "topk",
-                 window: int = 4, neg_text: str = "", min_match: int = 1,
-                 boosts: "dict[str, float] | None" = None):
-    """The one kind->QueryEngine dispatch, shared by every serving
-    surface (IndexServer.search, ShardedWriter.search) so a new query
-    kind lands everywhere at once. Returns raw (doc_id, score) hits;
-    tombstone filtering/ranking stays with the caller."""
-    if kind == "phrase":
-        return engine.phrase_topk(text, fetch_k)
-    if kind == "near":
-        return engine.near_topk(text, fetch_k, window=window)
-    if kind == "sloppy":
-        # slop rides the window parameter (same "how far apart" role)
-        return engine.sloppy_topk(text, fetch_k, slop=window)
-    if kind == "and":
-        return engine.and_topk(text, fetch_k)
-    if kind == "not":
-        return engine.not_topk(text, neg_text, fetch_k)
-    if kind == "prefix":
-        return engine.prefix_topk(text, fetch_k)
-    if kind == "msm":
-        return engine.msm_topk(text, fetch_k, min_match)
-    if kind == "bool":
-        # nested boolean DSL: text IS the expression
-        return engine.bool_topk(text, fetch_k)
-    if kind == "topk":
-        return (engine.boosted_topk(text, fetch_k, boosts)
-                if boosts else engine.topk(text, fetch_k))
-    raise ValueError(f"unknown query kind: {kind!r}")
 
 
 def _adopt_or_spawn(name: str, expect_dir: str, spawn, *, role: str):
@@ -161,16 +132,37 @@ def _start(cls, name: str, index_dir: str, *, num_cpus: float = 1,
         role=cls.__name__)
 
 
+def _serialized(method):
+    """Run a primary's write method under its ``_write_lock``."""
+    @functools.wraps(method)
+    def locked(self, *args, **kwargs):
+        with self._write_lock:
+            return method(self, *args, **kwargs)
+    return locked
+
+
 class _Journaled:
     """The write-ahead discipline both primaries share: every mutation
     is ONE journal record, fsynced and then applied by the same
     ``_apply`` that replays it, so pre- and post-restart state cannot
     diverge. Recovery only reads the journal; a torn tail is cut before
     this server's first append, so read replicas opened over a live
-    primary's dir never truncate the file it is appending to."""
+    primary's dir never truncate the file it is appending to.
+
+    ``insert``, ``delete``, ``flush`` and ``compact`` run under one
+    reentrant write lock (``delete``'s auto-compact calls ``compact``):
+    an in-process primary behind the threaded HTTP frontend must not
+    clear, under a running flush or compact, a write acknowledged after
+    that flush or compact took its snapshot. Searches do not take it.
+    (A Ray actor runs one call at a time anyway.)"""
 
     _journal_path: str
     _tail_checked = False
+    _tombstones: set
+    auto_compact_tombstones: "int | None"
+
+    def __init__(self) -> None:
+        self._write_lock = threading.RLock()
 
     def _apply(self, rec: dict) -> None:
         raise NotImplementedError
@@ -185,6 +177,19 @@ class _Journaled:
     def _replay(self) -> None:
         for rec in journal.replay(self._journal_path):
             self._apply(rec)
+
+    def _needs_compact(self) -> bool:
+        """Soft tombstone bound: ``auto_compact_tombstones`` when set,
+        else TOMBSTONE_WARN."""
+        bound = (self.auto_compact_tombstones
+                 if self.auto_compact_tombstones is not None
+                 else TOMBSTONE_WARN)
+        return len(self._tombstones) >= bound
+
+    def _maybe_auto_compact(self, base_dir: str) -> None:
+        if (self.auto_compact_tombstones is not None
+                and len(self._tombstones) >= self.auto_compact_tombstones):
+            self.compact(_next_compact_dir(base_dir))
 
 
 class IndexServer(_Journaled):
@@ -204,6 +209,7 @@ class IndexServer(_Journaled):
                  auto_compact_tombstones: "int | None" = None) -> None:
         from .stages.score import QueryEngine
 
+        super().__init__()
         self.base_dir = index_dir
         self.mode = mode
         self.auto_compact_tombstones = auto_compact_tombstones
@@ -213,17 +219,6 @@ class IndexServer(_Journaled):
         self._tombstones: set[int] = set()
         self._journal_path = os.path.join(index_dir, "journal.jsonl")
         self._recover()
-
-    def _needs_compact(self) -> bool:
-        bound = (self.auto_compact_tombstones
-                 if self.auto_compact_tombstones is not None
-                 else TOMBSTONE_WARN)
-        return len(self._tombstones) >= bound
-
-    def _maybe_auto_compact(self) -> None:
-        if (self.auto_compact_tombstones is not None
-                and len(self._tombstones) >= self.auto_compact_tombstones):
-            self.compact(_next_compact_dir(self.base_dir))
 
     # ---- donkey A3: journal + recover ----
     def _apply(self, rec: dict) -> None:
@@ -357,6 +352,7 @@ class IndexServer(_Journaled):
                 )
         return True
 
+    @_serialized
     def insert(self, rows: list[dict]) -> int:
         self.validate_new(rows)
         self._commit({"_op": "insert", "rows": rows})
@@ -375,6 +371,7 @@ class IndexServer(_Journaled):
             ]
         self._tombstones |= idset
 
+    @_serialized
     def delete(self, keys: "list[dict] | list[int]") -> dict:
         """Tombstone docs by (repo, path, commit) key or raw doc_id.
         Journaled (replayed in order on recover); deleted docs vanish
@@ -391,7 +388,7 @@ class IndexServer(_Journaled):
             for kk in keys
         ]
         self._commit({"_op": "delete", "doc_ids": ids})
-        self._maybe_auto_compact()
+        self._maybe_auto_compact(self.base_dir)
         return {"deleted": len(ids), "n_tombstones": len(self._tombstones)}
 
     def tombstone_ids(self) -> list[int]:
@@ -409,6 +406,7 @@ class IndexServer(_Journaled):
         ] if self._tombstones else [])
 
     # ---- donkey A8: sync -> delta index build + federated reopen ----
+    @_serialized
     def flush(self, *, num_partitions: int = 4) -> dict:
         from .pipelines.build import build_index
         from .stages.score import QueryEngine
@@ -472,6 +470,7 @@ class IndexServer(_Journaled):
                 "n_indexes": len(self._dirs), "n_docs": self.engine.n_docs}
 
     # ---- donkey 'misc reindex': compaction (resolves tombstones) ----
+    @_serialized
     def compact(self, out_dir: str, *, num_partitions: int = 16) -> dict:
         from .pipelines.incremental import merge_indexes
         from .stages.score import QueryEngine
@@ -1114,6 +1113,7 @@ class VectorServer(_Journaled):
                  auto_compact_tombstones: "int | None" = None) -> None:
         from .pipelines.ivf import IVFReader
 
+        super().__init__()
         self.index_dir = index_dir
         self._reader = IVFReader(index_dir)
         self.auto_compact_tombstones = auto_compact_tombstones
@@ -1158,15 +1158,12 @@ class VectorServer(_Journaled):
     # ---- A7 surface ----
     def ping(self) -> dict:
         meta = mf.load_meta(self.index_dir)
-        bound = (self.auto_compact_tombstones
-                 if self.auto_compact_tombstones is not None
-                 else TOMBSTONE_WARN)
         return {"status": "ok", "kind": "vector",
                 "index_dir": self.index_dir,
                 "n_indexed": int(meta["n_vecs"]),
                 "n_buffered": len(self._buffer),
                 "n_deleted": len(self._tombstones),
-                "needs_compact": len(self._tombstones) >= bound}
+                "needs_compact": self._needs_compact()}
 
     def validate_new(self, rows: list[dict]) -> bool:
         """EVERY insert-time check WITHOUT journaling — the sharded
@@ -1208,6 +1205,7 @@ class VectorServer(_Journaled):
             seen.add(v)
         return True
 
+    @_serialized
     def insert(self, rows: list[dict]) -> int:
         """rows: [{vec_id:int, embedding:[float,...]}, ...]. vec_ids
         must be NEW (not indexed, buffered, or tombstoned) — ids are the
@@ -1227,11 +1225,10 @@ class VectorServer(_Journaled):
         self._commit({"_op": "insert", "rows": clean})
         return len(self._buffer)
 
+    @_serialized
     def delete(self, vec_ids: list[int]) -> dict:
         self._commit({"_op": "delete", "vec_ids": [int(v) for v in vec_ids]})
-        if (self.auto_compact_tombstones is not None
-                and len(self._tombstones) >= self.auto_compact_tombstones):
-            self.compact(_next_compact_dir(self.index_dir))
+        self._maybe_auto_compact(self.index_dir)
         return {"n_deleted": len(self._tombstones)}
 
     def search(self, query_vectors, k: int = 10,
@@ -1241,7 +1238,7 @@ class VectorServer(_Journaled):
         so over-fetching by that count keeps the filtered page exact."""
         import numpy as np
 
-        from .pipelines.ann import _normalize
+        from .pipelines.ann import _normalize, _topk_table
 
         q = np.asarray(query_vectors, dtype=np.float64)
         if q.ndim == 1:
@@ -1258,14 +1255,9 @@ class VectorServer(_Journaled):
             qi = np.concatenate([qi, np.repeat(np.arange(len(q)), len(bids))])
             ids = np.concatenate([ids, np.tile(bids, len(q))])
             sims = np.concatenate([sims, (_normalize(q) @ m.T).ravel()])
-        order = np.lexsort((ids, -sims, qi))  # per query: cos desc, id asc
-        qi, ids, sims = qi[order], ids[order], sims[order]
-        rank = np.arange(len(qi)) - np.searchsorted(qi, qi) + 1
-        keep = rank <= k
-        return [{"query_id": a, "rank": r, "vec_id": v, "cos_sim": s}
-                for a, r, v, s in zip(qi[keep].tolist(), rank[keep].tolist(),
-                                      ids[keep].tolist(), sims[keep].tolist())]
+        return _topk_table(qi, ids, sims, k).to_pylist()
 
+    @_serialized
     def compact(self, out_dir: str, *, n_lists: int | None = None,
                 num_partitions: int = 4) -> dict:
         """Rebuild the IVF artifact over (indexed survivors + buffer) at
@@ -1426,23 +1418,18 @@ class ShardedVectorWriter(_ShardedFacade):
         mirror ``VectorServer.search``: one dict per (query_id, rank)."""
         import numpy as np
 
+        from .pipelines.ann import _topk_table
+
         q = np.asarray(query_vectors, dtype=np.float64)
-        nq = 1 if q.ndim == 1 else len(q)
         # ship the converted array (shards asarray it again for free)
         # instead of converting here only to throw the copy away
         outs = ray.get([p.search.remote(q, k, nprobe=nprobe)
                         for p in self._primaries])
-        cand: dict[int, list] = {qi: [] for qi in range(nq)}
-        for shard_hits in outs:
-            for r in shard_hits:
-                cand[r["query_id"]].append((r["cos_sim"], r["vec_id"]))
-        merged = []
-        for qi in range(nq):
-            best = sorted(cand[qi], key=lambda t: (-t[0], t[1]))[:k]
-            merged.extend(
-                {"query_id": qi, "rank": rk, "vec_id": v, "cos_sim": s}
-                for rk, (s, v) in enumerate(best, start=1))
-        return merged
+        hits = [r for shard_hits in outs for r in shard_hits]
+        qi = np.array([r["query_id"] for r in hits], dtype=np.int64)
+        ids = np.array([r["vec_id"] for r in hits], dtype=np.int64)
+        sims = np.array([r["cos_sim"] for r in hits], dtype=np.float64)
+        return _topk_table(qi, ids, sims, k).to_pylist()
 
     def compact_all(self, out_base: str, *, n_lists: "int | None" = None,
                     num_partitions: int = 4) -> "list[dict]":

@@ -1174,3 +1174,35 @@ class QueryEngine:
             if docs.size == k:
                 thr = float(scores[-1])
         return list(zip(docs.tolist(), scores.tolist()))
+
+
+def _engine_topk(engine, text: str, fetch_k: int, *, kind: str = "topk",
+                 window: int = 4, neg_text: str = "", min_match: int = 1,
+                 boosts: "dict[str, float] | None" = None):
+    """The one kind->QueryEngine dispatch, shared by every serving
+    surface (``serve.IndexServer.search``, ``serve.ShardedWriter.search``,
+    ``pipelines.query.QueryScorerStage``) so a new query kind lands
+    everywhere at once. Returns raw (doc_id, score) hits; tombstone
+    filtering/ranking stays with the caller."""
+    if kind == "phrase":
+        return engine.phrase_topk(text, fetch_k)
+    if kind == "near":
+        return engine.near_topk(text, fetch_k, window=window)
+    if kind == "sloppy":
+        # slop rides the window parameter (same "how far apart" role)
+        return engine.sloppy_topk(text, fetch_k, slop=window)
+    if kind == "and":
+        return engine.and_topk(text, fetch_k)
+    if kind == "not":
+        return engine.not_topk(text, neg_text, fetch_k)
+    if kind == "prefix":
+        return engine.prefix_topk(text, fetch_k)
+    if kind == "msm":
+        return engine.msm_topk(text, fetch_k, min_match)
+    if kind == "bool":
+        # nested boolean DSL: text IS the expression
+        return engine.bool_topk(text, fetch_k)
+    if kind == "topk":
+        return (engine.boosted_topk(text, fetch_k, boosts)
+                if boosts else engine.topk(text, fetch_k))
+    raise ValueError(f"unknown query kind: {kind!r}")

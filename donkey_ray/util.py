@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 import pyarrow as pa
@@ -38,34 +39,41 @@ class _LRU:
     values (1 per entry by default: a count bound). ``get`` and ``load``
     refresh recency; ``put`` evicts oldest-first until the total is
     within ``budget`` again (a value larger than the whole budget is
-    not kept)."""
+    not kept). Safe to share between threads: every read or update of
+    the map holds the cache's lock; ``load``'s ``compute`` runs outside
+    it, so two threads missing the same key may both compute it (the
+    cached values are immutable, so either copy serves)."""
 
     def __init__(self, budget: int, size=lambda v: 1) -> None:
         self.budget = budget
         self.size = size
         self.total = 0
         self._d: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
 
     def get(self, key):
-        v = self._d.get(key)
-        if v is not None:
-            self._d.move_to_end(key)
-        return v
+        with self._lock:
+            v = self._d.get(key)
+            if v is not None:
+                self._d.move_to_end(key)
+            return v
 
     def put(self, key, value):
-        if key in self._d:
-            self.total -= self.size(self._d.pop(key))
-        self._d[key] = value
-        self.total += self.size(value)
-        while self.total > self.budget:
-            _, old = self._d.popitem(last=False)
-            self.total -= self.size(old)
-        return value
+        with self._lock:
+            if key in self._d:
+                self.total -= self.size(self._d.pop(key))
+            self._d[key] = value
+            self.total += self.size(value)
+            while self.total > self.budget:
+                _, old = self._d.popitem(last=False)
+                self.total -= self.size(old)
+            return value
 
     def load(self, key, compute):
         """The cached value of ``key``, else ``put(key, compute())``
         (None values are cached too)."""
-        if key in self._d:
-            self._d.move_to_end(key)
-            return self._d[key]
+        with self._lock:
+            if key in self._d:
+                self._d.move_to_end(key)
+                return self._d[key]
         return self.put(key, compute())

@@ -139,6 +139,44 @@ def test_cached_operators_match_fresh_engine(indexes, which, mode):
             assert eng._postings.total <= eng._postings.budget
 
 
+def test_engine_caches_are_thread_safe(indexes):
+    """An in-process IndexServer behind the threaded HTTP frontend is
+    searched from several request threads at once: with a budget small
+    enough to evict on every query and a tiny switch interval (threads
+    swap inside ``_LRU``'s put/evict loop), eight threads sharing one
+    engine must each get the single-threaded answers."""
+    import sys
+    import threading
+
+    dirs = indexes["fed"]
+    texts = _queries(dirs)
+    want = [QueryEngine(dirs, mode="exact").topk(q, 10) for q in texts]
+    eng = QueryEngine(dirs, mode="exact")
+    eng._postings.budget = 200
+    errors, got = [], []
+
+    def run():
+        try:
+            got.append([eng.topk(q, 10) for q in texts])
+        except Exception as ex:  # noqa: BLE001 — reported below
+            errors.append(repr(ex))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert got == [want] * 8
+    assert eng._postings.total <= eng._postings.budget
+
+
 def test_operators_share_one_entry_per_term(indexes):
     eng = QueryEngine(indexes["fed"], mode="exact")
     term = "commontoken"

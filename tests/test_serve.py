@@ -97,6 +97,46 @@ def test_insert_flush_search(served_index, tmp_path):
         ]
 
 
+def test_insert_during_flush_is_kept(served_index, tmp_path):
+    """An in-process primary (the shape the threaded HTTP frontend
+    serves) gets an insert while a flush of 100 rows is building its
+    delta. The insert waits for the flush, which flushes exactly its
+    own 100 rows; the late row stays buffered and journaled, survives a
+    reopen and is searchable after the next flush."""
+    import shutil
+    import threading
+    import time
+
+    from donkey_ray.functions.hashing import doc_id_from_key
+    from donkey_ray.state import journal
+
+    _, out = served_index
+    base = str(tmp_path / "index")
+    shutil.copytree(out, base)
+    srv = IndexServer(base)
+    srv.insert(_new_rows(100))
+    flushed = {}
+    flusher = threading.Thread(target=lambda: flushed.update(srv.flush()))
+    flusher.start()
+    time.sleep(0.15)  # the flush is building its delta by now
+    late = _new_rows(1, start=9500)
+    srv.insert(late)
+    flusher.join(timeout=300)
+    assert not flusher.is_alive()
+    assert flushed["flushed"] == 100
+    late_id = doc_id_from_key(late[0]["repo"], late[0]["path"],
+                              late[0]["commit"])
+    assert srv.ping()["buffered_inserts"] == 1
+    journaled = [r for rec in journal.replay(srv._journal_path)
+                 for r in rec.get("rows", [])]
+    assert journaled == late
+    reopened = IndexServer(base)
+    assert reopened.ping()["buffered_inserts"] == 1
+    assert reopened.flush()["flushed"] == 1
+    hits = reopened.search("zzylivetoken", 200)
+    assert len(hits) == 101 and late_id in {h["doc_id"] for h in hits}
+
+
 def test_journal_recovery(served_index, tmp_path):
     """Unflushed inserts survive a server restart (journal replay —
     donkey's WAL recover())."""
