@@ -20,6 +20,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 import numpy as np
+import pyarrow as pa
 
 _U7 = np.uint64(7)
 _M7F = np.uint64(0x7F)
@@ -112,13 +113,14 @@ def varbyte_encode_all(values) -> tuple[bytes, np.ndarray]:
     return out.tobytes(), offs
 
 
-def varbyte_encode_segments(values, seg_starts) -> list[bytes]:
-    """[varbyte_encode(run) for run in runs] in one vectorized pass."""
-    seg_starts = np.asarray(seg_starts, dtype=np.int64)
-    buf, offs = varbyte_encode_all(values)
-    n = offs.size - 1
-    byte_bounds = offs[np.append(seg_starts, n)]
-    return [buf[byte_bounds[i]: byte_bounds[i + 1]] for i in range(len(seg_starts))]
+def binary_runs(buf, offsets) -> pa.Array:
+    """Arrow binary array whose i-th value is buf[offsets[i]:offsets[i+1]]
+    — every run of one encoded buffer, with no per-run bytes object."""
+    offs = np.asarray(offsets, dtype=np.int64)
+    if offs.size and offs[-1] > np.iinfo(np.int32).max:
+        raise ValueError("binary runs past 2 GiB need a large_binary column")
+    return pa.Array.from_buffers(pa.binary(), offs.size - 1, [
+        None, pa.py_buffer(offs.astype(np.int32)), pa.py_buffer(buf)])
 
 
 def decode_blocked_deltas(buf: bytes, n: int, block_size: int) -> np.ndarray:

@@ -82,8 +82,7 @@ def salt_table(term: str, num_partitions: int, salt_bits: int) -> np.ndarray:
 
 
 def salted_parts(term: str, num_partitions: int, salt_bits: int) -> list[int]:
-    """Every partition a hot term's salted runs can land in — sorted,
-    deduplicated."""
+    """The sorted distinct partitions a hot term's salted runs can hit."""
     return sorted(set(salt_table(term, num_partitions, salt_bits).tolist()))
 
 
@@ -96,20 +95,21 @@ def candidate_parts(term: str, num_partitions: int, hot_terms,
     return [term_partition(term, num_partitions)]
 
 
-def partition_column(terms: np.ndarray, doc_ids: np.ndarray,
+def partition_column(terms: pa.Array | pa.ChunkedArray, doc_ids: np.ndarray,
                      num_partitions: int, hot_terms=frozenset(),
                      salt_bits: int = 4) -> np.ndarray:
-    """The int32 ``part`` of each (term, doc_id) posting row, routed per
-    unique term; ``hot_terms`` is a set."""
-    uniq, inv = np.unique(terms, return_inverse=True)
+    """The int32 ``part`` per posting row, hashed once per distinct term."""
+    if isinstance(terms, pa.ChunkedArray):
+        terms = terms.combine_chunks()
+    enc = terms.dictionary_encode()
+    uniq, codes = enc.dictionary.to_pylist(), enc.indices.to_numpy()
     part = np.fromiter((term_partition(t, num_partitions) for t in uniq),
-                       dtype=np.int32, count=len(uniq))[inv]
-    if hot_terms:
+                       dtype=np.int32, count=len(uniq))[codes]
+    if hot_terms:  # a set
         salts = np.asarray(doc_ids, dtype=np.int64) >> (63 - salt_bits)
-        for j, t in enumerate(uniq):
-            if t in hot_terms:
-                m = inv == j
-                part[m] = salt_table(t, num_partitions, salt_bits)[salts[m]]
+        for j in [j for j, t in enumerate(uniq) if t in hot_terms]:
+            m = codes == j
+            part[m] = salt_table(uniq[j], num_partitions, salt_bits)[salts[m]]
     return part
 
 

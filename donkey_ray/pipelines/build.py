@@ -3,7 +3,8 @@
 read_parquet -> map_batches(extract_postings task pool) ->
 groupby('part').map_groups(SegmentWriter) -> manifest + stats, with:
   - one corpus scan: the extract map also writes each batch's docs rows
-    (the per-row sha256(content) invariant, doc_len for per-lang stats),
+    (the per-row sha256(content) invariant, doc_len), their footer
+    stamped with the file's per-lang (n_docs, total_len),
   - deterministic-sample hot-term (df) detection + salted routing (B18),
   - per-partition lineage manifest; resume skips validated partitions (B5),
   - one writer, ``write_index``: segments, meta and ``_SUCCESS`` for the
@@ -12,8 +13,11 @@ groupby('part').map_groups(SegmentWriter) -> manifest + stats, with:
 
 Everything streams: no materialize() of the exploded postings; the only
 all-to-all exchange is the single groupby('part') shuffle whose key is the
-(salted) term-hash partition. Besides that scan, only the hot-term sample
-reads the corpus.
+(salted) term-hash partition. A path build runs two Ray Data jobs: the
+hot-term sample and that scan; n_docs and the per-lang stats come from
+the docs files' footers (``compute_lang_stats``), not from a third job.
+Every layer works on Arrow dictionary codes of the term column, never on
+one Python string per posting.
 
 Donkey analogue [PK]: batch insert + index build + 'sync' checkpoint
 (src/donkey.cpp / src/index-kgraph.cpp — file-level, SURVEY.md section 0).
@@ -37,7 +41,8 @@ from ..functions.hashing import (deterministic_sample_mask, doc_ids_for_batch,
                                 partition_column)
 from ..sources.corpus import read_corpus
 from ..stages.encode import SegmentWriter
-from ..stages.extract import PostingsExtractor, extract_postings
+from ..stages.extract import (LANG_STATS_KEY, PostingsExtractor,
+                              extract_postings, write_docs)
 from ..state import manifest as mf
 
 DEFAULT_PARTITIONS = 16
@@ -70,47 +75,35 @@ def _docs_dir(out_dir: str) -> str:
     return os.path.join(out_dir, "docs")
 
 
-def compute_lang_stats(out_dir: str) -> dict:
-    """Per-lang collection stats (SURVEY §1.2 ``stats`` "+ per-lang"):
-    {lang: {n_docs, total_len, avgdl}} aggregated from the docs
-    artifact's (lang, doc_len) columns — a 2-column scan with in-batch
-    partial aggregation, then one keyed exchange over n_langs keys
-    (lang cardinality is tiny, so the exchange is a few rows). Returns
-    {} when the docs artifact predates the doc_len column (e.g. docs
-    merged from old indexes) — detected by a SCHEMA probe, not a blanket except: a
-    transient cluster failure during the stats scan must propagate, or
-    a successful build would permanently bake lang_stats={} into its
-    meta with no way to tell that apart from a pre-v3 artifact."""
-    from ..stages.exchange import partitioned_aggregate
+def compute_lang_stats(out_dir: str) -> tuple[int, dict]:
+    """(n_docs, per-lang {lang: {n_docs, total_len, avgdl}}) (SURVEY §1.2
+    ``stats`` "+ per-lang") in one driver-side pass over the docs files'
+    parquet footers — no Ray job: ``extract.write_docs`` stamps each
+    file's per-lang (n_docs, total_len), and the footer's row count
+    gives n_docs. The per-lang stats are {} when a file has no stamp
+    (docs without ``doc_len``, e.g. merged from old indexes). An
+    unreadable footer raises: a failed read must not bake {} into a good
+    build's meta."""
+    import glob
+    import json
 
-    try:
-        schema = pads.dataset(_docs_dir(out_dir)).schema
-    except (FileNotFoundError, OSError):
-        return {}
-    if "lang" not in schema.names or "doc_len" not in schema.names:
-        return {}
-    docs = ray.data.read_parquet(
-        _docs_dir(out_dir), columns=["lang", "doc_len"])
+    import pyarrow.parquet as pq
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["lang"], use_threads=False).aggregate(
-            [("doc_len", "sum"), ("doc_len", "count")])
-        return g.rename_columns(["lang", "s", "c"])
-
-    rows = partitioned_aggregate(
-        docs.map_batches(partial, batch_format="pyarrow",
-                         zero_copy_batch=True),
-        ["lang"], [("s", "sum"), ("c", "sum")],
-        rename={"s_sum": "s", "c_sum": "c"},
-    ).take_all()  # n_langs rows
-    return {
-        str(r["lang"]): {
-            "n_docs": int(r["c"]),
-            "total_len": int(r["s"]),
-            "avgdl": (r["s"] / r["c"]) if r["c"] else 0.0,
-        }
-        for r in sorted(rows, key=lambda r: str(r["lang"]))
-    }
+    n_docs, agg, stamped = 0, {}, True
+    for p in sorted(glob.glob(os.path.join(_docs_dir(out_dir), "*.parquet"))):
+        md = pq.read_metadata(p)
+        n_docs += md.num_rows
+        raw = (md.metadata or {}).get(LANG_STATS_KEY)
+        stamped = stamped and raw is not None
+        for lang, (c, s) in json.loads(raw or "{}").items():
+            cur = agg.setdefault(lang, [0, 0])
+            cur[0] += c
+            cur[1] += s
+    if not stamped:
+        return n_docs, {}
+    return n_docs, {
+        lang: {"n_docs": c, "total_len": s, "avgdl": (s / c) if c else 0.0}
+        for lang, (c, s) in sorted(agg.items())}
 
 
 def detect_hot_terms(
@@ -340,7 +333,7 @@ def route_postings(postings: ray.data.Dataset, num_partitions: int,
 
     def add_part(batch: pa.Table) -> pa.Table:
         return batch.append_column("part", pa.array(partition_column(
-            batch.column("term").to_numpy(zero_copy_only=False),
+            batch.column("term"),
             batch.column("doc_id").to_numpy(zero_copy_only=False),
             num_partitions, hot, salt_bits), pa.int32()))
 
@@ -350,23 +343,28 @@ def route_postings(postings: ray.data.Dataset, num_partitions: int,
 
 def copy_docs(src_dirs: list[str], out_dir: str, row_filter=None) -> bool:
     """Rewrite ``out_dir/docs`` from the source indexes' docs tables,
-    through ``row_filter`` (the postings' keep rule) when given. Always
-    cleared first, like the build's: write_parquet APPENDS uuid-named
-    files, so a rerun over a crashed run's leftovers would double every
-    docs row. False when no source has a docs table."""
+    through ``row_filter`` (the postings' keep rule) when given, with
+    the build's docs writer (``extract.write_docs``). Always cleared
+    first, like the build's, so a crashed run's leftovers never survive.
+    False when no source has a docs table."""
     import glob
 
     paths = [f for d in src_dirs
              for f in sorted(glob.glob(os.path.join(_docs_dir(d),
                                                     "*.parquet")))]
-    shutil.rmtree(_docs_dir(out_dir), ignore_errors=True)
+    docs_dir = _docs_dir(out_dir)
+    shutil.rmtree(docs_dir, ignore_errors=True)
     if not paths:
         return False
-    docs = ray.data.read_parquet(paths)
-    if row_filter is not None:
-        docs = docs.map_batches(row_filter, batch_format="pyarrow",
-                                zero_copy_batch=True)
-    docs.write_parquet(_docs_dir(out_dir))
+    os.makedirs(docs_dir)
+
+    def write_docs_rows(batch: pa.Table) -> pa.Table:
+        write_docs(docs_dir, row_filter(batch) if row_filter else batch)
+        return pa.table({"rows": pa.array([batch.num_rows], pa.int64())})
+
+    ray.data.read_parquet(paths).map_batches(
+        write_docs_rows, batch_format="pyarrow",
+        zero_copy_batch=True).take_all()
     return True
 
 
@@ -395,9 +393,10 @@ def write_index(
     validated manifest entries of partitions a resumed build already
     wrote (their rows are dropped before the shuffle). The meta's
     ``(n_docs, total_len)`` are ``stats`` when given, else the ``docs/``
-    row count and the partitions' Σ sum_tf (Σ tf over a doc's postings
-    is its dl). ``t_start`` records ``build_wall_s``; ``provenance`` is
-    the caller's own fields."""
+    footers' row count (``compute_lang_stats``) and the partitions'
+    Σ sum_tf (Σ tf over a doc's postings is its dl). ``t_start``
+    records ``build_wall_s``; ``provenance`` is the caller's own
+    fields."""
     done = done or {}
     if done:
         done_arr = np.array(sorted(done), dtype=np.int32)
@@ -417,9 +416,9 @@ def write_index(
     )
     entries = {**done,
                **{int(r["part"]): r for r in manifest_rows.take_all()}}
+    docs_rows, lang_stats = compute_lang_stats(out_dir)
     if stats is None:
-        stats = (pads.dataset(_docs_dir(out_dir)).count_rows(),
-                 sum(e["sum_tf"] for e in entries.values()))
+        stats = (docs_rows, sum(e["sum_tf"] for e in entries.values()))
     n_docs, total_len = int(stats[0]), int(stats[1])
     meta = {
         "format_version": schemas.FORMAT_VERSION,
@@ -428,7 +427,7 @@ def write_index(
         "total_len": total_len,
         "n_postings": int(sum(e["n_postings"] for e in entries.values())),
         "avgdl": (total_len / n_docs) if n_docs else 0.0,
-        "lang_stats": compute_lang_stats(out_dir),
+        "lang_stats": lang_stats,
         "num_partitions": num_partitions,
         "parts_built": sorted(int(p) for p in entries),
         "parts_skipped_on_resume": sorted(done),

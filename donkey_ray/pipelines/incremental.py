@@ -28,7 +28,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from ..functions.codec import varbyte_decode
+from ..functions.codec import binary_runs, varbyte_decode
+from ..stages.encode import block_starts
 from ..state import manifest as mf
 from .. import schemas
 
@@ -39,8 +40,8 @@ def segments_as_postings(index_dir: str) -> ray.data.Dataset:
 
     For a POSITIONAL index the per-posting ``pos`` cell (self-contained
     varbyte(delta(token positions)) — the stream resets at every posting)
-    is recovered by splitting each run's ``poss`` bytes at varbyte
-    terminal-byte boundaries, without decoding the values."""
+    is recovered by splitting the ``poss`` bytes at varbyte terminal-byte
+    boundaries, without decoding the values."""
     meta = mf.load_meta(index_dir)
     positional = bool(meta.get("positions"))
     block_size = int(meta.get("block_size", schemas.BLOCK_SIZE))
@@ -66,12 +67,7 @@ def segments_as_postings(index_dir: str) -> ray.data.Dataset:
         total = int(dfs.sum())
         if total == 0:
             return empty
-        run_starts = np.concatenate(([0], np.cumsum(dfs)))[:-1]
-        # block starts: every block_size postings WITHIN each run
-        blk_starts = np.concatenate(
-            [rs + np.arange(0, n, block_size, dtype=np.int64)
-             for rs, n in zip(run_starts, dfs) if n > 0]
-        )
+        blk_starts, _ = block_starts(np.cumsum(dfs) - dfs, dfs, block_size)
         deltas = varbyte_decode(b"".join(batch.column("doc_ids").to_pylist()))
         c = np.cumsum(deltas, dtype=np.uint64)
         prefix = c[blk_starts] - deltas[blk_starts]
@@ -80,32 +76,21 @@ def segments_as_postings(index_dir: str) -> ray.data.Dataset:
         doc_ids = (c - np.repeat(prefix, blk_lens)).astype(np.int64)
         tfs = varbyte_decode(b"".join(batch.column("tfs").to_pylist()))
         dls = varbyte_decode(b"".join(batch.column("dls").to_pylist()))
-        terms = batch.column("term").to_numpy(zero_copy_only=False)
         out = {
-            "term": pa.array(np.repeat(terms, dfs), pa.string()),
+            "term": batch.column("term").take(
+                pa.array(np.repeat(np.arange(batch.num_rows), dfs))),
             "doc_id": pa.array(doc_ids, pa.int64()),
             "tf": pa.array(tfs.astype(np.int32), pa.int32()),
             "dl": pa.array(dls.astype(np.int32), pa.int32()),
         }
         if positional:
-            cells: list[bytes] = []
-            tf_bounds = np.concatenate(([0], np.cumsum(tfs, dtype=np.int64)))
-            i = 0
-            for buf, n_post in zip(batch.column("poss").to_pylist(), dfs):
-                b = np.frombuffer(buf, dtype=np.uint8)
-                # terminal byte = high bit clear -> value boundaries
-                val_bounds = np.concatenate(
-                    ([0], np.flatnonzero((b & 0x80) == 0) + 1)
-                )
-                post_bounds = val_bounds[
-                    tf_bounds[i: i + n_post + 1] - tf_bounds[i]
-                ]
-                cells.extend(
-                    buf[post_bounds[j]: post_bounds[j + 1]]
-                    for j in range(n_post)
-                )
-                i += n_post
-            out["pos"] = pa.array(cells, pa.binary())
+            # each run's poss = its postings' cells, tf values per cell;
+            # terminal byte = high bit clear -> value boundaries
+            buf = b"".join(batch.column("poss").to_pylist())
+            ends = np.flatnonzero(np.frombuffer(buf, np.uint8) < 0x80) + 1
+            val_bounds = np.concatenate(([0], ends))
+            out["pos"] = binary_runs(buf, val_bounds[np.concatenate(
+                ([0], np.cumsum(tfs, dtype=np.int64)))])
         return pa.table(out)
 
     return ds.map_batches(decode, batch_format="pyarrow", zero_copy_batch=True)

@@ -42,6 +42,8 @@ import os
 import numpy as np
 import pyarrow as pa
 
+from ..functions.scoring import group_ranks
+from ..stages.encode import SegmentWriter, term_codes
 from ..state import manifest as mf
 from .build import copy_docs, route_postings, write_index
 from .incremental import segments_as_postings
@@ -53,8 +55,6 @@ class _PruningSegmentWriter:
     SegmentWriter (atomic segment + manifest entry)."""
 
     def __init__(self, out_dir: str, keep_frac: float) -> None:
-        from ..stages.encode import SegmentWriter
-
         self._writer = SegmentWriter(out_dir)
         self.keep_frac = float(keep_frac)
         self.__name__ = "PruningSegmentWriter"
@@ -62,19 +62,14 @@ class _PruningSegmentWriter:
     def __call__(self, group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
             return self._writer(group)
-        terms = group.column("term").to_numpy(zero_copy_only=False)
+        _, codes = term_codes(group.column("term"))
         tfs = group.column("tf").to_numpy(zero_copy_only=False)
         docs = group.column("doc_id").to_numpy(zero_copy_only=False)
         # order: term asc, tf desc, doc asc -> rank-within-term
-        order = np.lexsort((docs, -tfs.astype(np.int64), terms))
-        t_sorted = terms[order]
-        starts = np.concatenate(
-            ([0], np.flatnonzero(t_sorted[1:] != t_sorted[:-1]) + 1))
-        counts = np.diff(np.concatenate((starts, [len(t_sorted)])))
-        rank = np.arange(len(t_sorted)) - np.repeat(starts, counts)
-        keep_n = np.maximum(
-            1, np.ceil(self.keep_frac * counts - 1e-9).astype(np.int64))
-        keep = rank < np.repeat(keep_n, counts)
+        order = np.lexsort((docs, -tfs.astype(np.int64), codes))
+        keep_n = np.maximum(1, np.ceil(
+            self.keep_frac * np.bincount(codes) - 1e-9).astype(np.int64))
+        keep = group_ranks(codes[order]) < keep_n[codes[order]]
         sel = np.sort(order[keep])  # restore input order for the encoder
         return self._writer(group.take(pa.array(sel)))
 

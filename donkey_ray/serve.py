@@ -1118,6 +1118,10 @@ class VectorServer(_Journaled):
         self._reader = IVFReader(index_dir)
         self.auto_compact_tombstones = auto_compact_tombstones
         self._buffer: dict[int, list[float]] = {}
+        # (buffer version, sorted buffered ids, their normalized matrix):
+        # every buffer change bumps the version AFTER it lands
+        self._buf_version = 0
+        self._buf_matrix: "tuple | None" = None
         self._tombstones: set[int] = set()
         # lazy; sorted np.int64 ids only — a TRUE 8 bytes/vec (a Python
         # set of ints would cost ~10x that), probed with searchsorted
@@ -1154,6 +1158,24 @@ class VectorServer(_Journaled):
         else:
             for r in rec["rows"]:
                 self._buffer[int(r["vec_id"])] = r["embedding"]
+        self._buf_version += 1
+
+    def _buffer_matrix(self):
+        """(sorted buffered ids, their normalized matrix), rebuilt only
+        when the buffer's version moved. The version is read BEFORE the
+        rebuild, so a rebuild that races an insert is cached under the
+        older version and the next search rebuilds again: a stale matrix
+        is never cached as current."""
+        import numpy as np
+
+        from .pipelines.ann import _normalize
+
+        version, cached = self._buf_version, self._buf_matrix
+        if cached is None or cached[0] != version:
+            bids = np.asarray(sorted(self._buffer), dtype=np.int64)
+            cached = self._buf_matrix = (version, bids, _normalize(np.asarray(
+                [self._buffer[int(i)] for i in bids], dtype=np.float64)))
+        return cached[1], cached[2]
 
     # ---- A7 surface ----
     def ping(self) -> dict:
@@ -1249,9 +1271,7 @@ class VectorServer(_Journaled):
             keep = ~np.isin(ids, np.fromiter(self._tombstones, np.int64))
             qi, ids, sims = qi[keep], ids[keep], sims[keep]
         if self._buffer:
-            bids = np.asarray(sorted(self._buffer), dtype=np.int64)
-            m = _normalize(np.asarray(
-                [self._buffer[int(i)] for i in bids], dtype=np.float64))
+            bids, m = self._buffer_matrix()
             qi = np.concatenate([qi, np.repeat(np.arange(len(q)), len(bids))])
             ids = np.concatenate([ids, np.tile(bids, len(q))])
             sims = np.concatenate([sims, (_normalize(q) @ m.T).ravel()])
@@ -1307,6 +1327,7 @@ class VectorServer(_Journaled):
         self.index_dir = out_dir
         self._reader = IVFReader(out_dir)
         self._buffer.clear()
+        self._buf_version += 1
         self._tombstones.clear()
         self._indexed = None  # re-derive lazily from the new segments
         # the new dir starts with an (absent =) empty journal; the old

@@ -16,9 +16,11 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import schemas
-from ..functions.codec import delta_encode_segments, varbyte_encode_all
+from ..functions.codec import (binary_runs, delta_encode_segments,
+                               varbyte_encode_all)
 from ..state import manifest as mf
 
 
@@ -42,136 +44,117 @@ def _empty_segment(positions: bool = False) -> tuple[pa.Table, dict]:
     return pa.table(cols), {"n_terms": 0, "n_postings": 0, "sum_tf": 0}
 
 
+def term_codes(col: pa.Array | pa.ChunkedArray) -> tuple[pa.Array, np.ndarray]:
+    """(sorted distinct terms, each row's int64 code into them) — what
+    ``np.unique(terms, return_inverse=True)`` gives, without one Python
+    string per row: dictionary-encode, sort the dictionary (UTF-8 byte
+    order is code-point order), scatter the ranks."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    enc = col.dictionary_encode()
+    order = pc.array_sort_indices(enc.dictionary).to_numpy()
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return enc.dictionary.take(order), rank[enc.indices.to_numpy()]
+
+
+def block_starts(run_starts: np.ndarray, dfs: np.ndarray,
+                 block_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(global index of every block's first posting, blocks per run): a
+    block starts every ``block_size`` postings WITHIN each run."""
+    nblk = -(-np.asarray(dfs, dtype=np.int64) // block_size)
+    local = np.arange(nblk.sum()) - np.repeat(np.cumsum(nblk) - nblk, nblk)
+    return np.repeat(run_starts, nblk) + local * block_size, nblk
+
+
+def _lists(values: np.ndarray, counts: np.ndarray, typ) -> pa.Array:
+    offs = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    return pa.ListArray.from_arrays(pa.array(offs), pa.array(values, typ))
+
+
 def encode_partition_arrays(
-    uniq_terms: np.ndarray,
+    uniq_terms: pa.Array,
     codes: np.ndarray,
     doc_ids: np.ndarray,
     tfs: np.ndarray,
     dls: np.ndarray,
     block_size: int = schemas.BLOCK_SIZE,
-    pos_cells: np.ndarray | None = None,
+    pos_cells: pa.Array | None = None,
 ) -> tuple[pa.Table, dict]:
-    """Pure kernel: per-posting arrays (term codes into sorted uniq_terms)
-    -> (segment table, stats). Sorts by (term, doc_id).
+    """Pure kernel: per-posting arrays (``codes`` into the sorted
+    ``uniq_terms``, see ``term_codes``) -> (segment table, stats). Sorts
+    by (term, doc_id); every column comes from whole-partition arrays:
+    one varbyte pass per stream, block maxima by ``reduceat``, binary and
+    list columns cut from one buffer by run and block offsets.
 
-    ``pos_cells`` (optional): per-posting varbyte(delta(positions)) byte
-    cells from the positional extractor. Each cell is self-contained
-    (delta resets per posting), so encoding = reordering + concatenation —
-    no re-encode; per-block byte offsets make block decode lazy."""
+    ``pos_cells`` (optional): the per-posting Arrow binary
+    varbyte(delta(positions)) cells of the positional extractor. Each
+    cell is self-contained (delta resets per posting), so encoding =
+    reordering + concatenation — no re-encode; per-block byte offsets
+    make block decode lazy."""
+    n = len(codes)
+    if n == 0:
+        return _empty_segment(positions=pos_cells is not None)
     order = np.lexsort((doc_ids, codes))
-    codes_s = codes[order]
-    terms = uniq_terms  # sorted ascending by np.unique (ASCII == utf8 order)
+    codes = codes[order]
     doc_ids = doc_ids[order]
     tfs = tfs[order].astype(np.int64)
     dls = dls[order].astype(np.int64)
-    if pos_cells is not None:
-        pos_cells = np.asarray(pos_cells, dtype=object)[order]
-        cell_offs = np.zeros(len(pos_cells) + 1, dtype=np.int64)
-        np.cumsum(
-            np.fromiter((len(c) for c in pos_cells), dtype=np.int64,
-                        count=len(pos_cells)),
-            out=cell_offs[1:],
-        )
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    bounds = np.append(starts, n)
+    # the doc-id delta stream resets at every block start so each block
+    # is independently decodable (lazy WAND)
+    blk, nblk = block_starts(starts, np.diff(bounds), block_size)
+    blk_end = np.minimum(blk + block_size, np.repeat(bounds[1:], nblk))
+    # each run's *_boff list: its block starts, then its end
+    edges = np.insert(blk, np.cumsum(nblk), bounds[1:])
+    base = np.repeat(starts, nblk + 1)
+    doc_buf, doc_o = varbyte_encode_all(
+        delta_encode_segments(doc_ids.astype(np.uint64), blk))
+    tf_buf, tf_o = varbyte_encode_all(tfs.astype(np.uint64))
+    dl_buf, dl_o = varbyte_encode_all(dls.astype(np.uint64))
 
-    n = len(codes_s)
-    if n == 0:
-        return _empty_segment(positions=pos_cells is not None)
-
-    starts = np.concatenate(([0], np.flatnonzero(codes_s[1:] != codes_s[:-1]) + 1))
-    ends = np.concatenate((starts[1:], [n]))
-
-    out_terms = [str(t) for t in terms[codes_s[starts]]]
-    out_df = (ends - starts).tolist()
-    # global block starts: every block_size postings WITHIN each run; the
-    # doc-id delta stream resets at every block start so each block is
-    # independently decodable (lazy WAND)
-    blk_starts_per_run = [
-        s + np.arange(0, e - s, block_size, dtype=np.int64)
-        for s, e in zip(starts, ends)
-    ]
-    all_blk_starts = np.concatenate(blk_starts_per_run)
-    # one vectorized codec pass over ALL runs per stream (hot path)
-    doc_buf, doc_offs = varbyte_encode_all(
-        delta_encode_segments(doc_ids.astype(np.uint64), all_blk_starts)
-    )
-    tf_buf, tf_offs = varbyte_encode_all(tfs.astype(np.uint64))
-    dl_buf, dl_offs = varbyte_encode_all(dls.astype(np.uint64))
-
-    out_docs: list[bytes] = []
-    out_tfs: list[bytes] = []
-    out_dls: list[bytes] = []
-    out_poss: list[bytes] = []
-    out_bld: list[list[int]] = []
-    out_bmt: list[list[int]] = []
-    out_bmd: list[list[int]] = []
-    out_doc_boff: list[list[int]] = []
-    out_tf_boff: list[list[int]] = []
-    out_dl_boff: list[list[int]] = []
-    out_pos_boff: list[list[int]] = []
-    for (s, e), bstarts in zip(zip(starts, ends), blk_starts_per_run):
-        ids = doc_ids[s:e]
-        tf = tfs[s:e]
-        dl = dls[s:e]
-        rel = bstarts - s
-        bends = np.minimum(rel + block_size, e - s)
-        out_docs.append(doc_buf[doc_offs[s]: doc_offs[e]])
-        out_tfs.append(tf_buf[tf_offs[s]: tf_offs[e]])
-        out_dls.append(dl_buf[dl_offs[s]: dl_offs[e]])
-        out_bld.append(ids[bends - 1].tolist())
-        out_bmt.append(np.maximum.reduceat(tf, rel).astype(np.int32).tolist())
-        out_bmd.append(np.minimum.reduceat(dl, rel).astype(np.int32).tolist())
-        bounds = np.append(bstarts, e)
-        out_doc_boff.append((doc_offs[bounds] - doc_offs[s]).tolist())
-        out_tf_boff.append((tf_offs[bounds] - tf_offs[s]).tolist())
-        out_dl_boff.append((dl_offs[bounds] - dl_offs[s]).tolist())
-        if pos_cells is not None:
-            out_poss.append(b"".join(pos_cells[s:e]))
-            out_pos_boff.append((cell_offs[bounds] - cell_offs[s]).tolist())
+    def boff(o: np.ndarray) -> pa.Array:
+        return _lists(o[edges] - o[base], nblk + 1, pa.int64())
 
     cols = {
-        "term": pa.array(out_terms, pa.string()),
-        "df": pa.array(out_df, pa.int64()),
-        "doc_ids": pa.array(out_docs, pa.binary()),
-        "tfs": pa.array(out_tfs, pa.binary()),
-        "dls": pa.array(out_dls, pa.binary()),
-        "block_last_doc": pa.array(out_bld, pa.list_(pa.int64())),
-        "block_max_tf": pa.array(out_bmt, pa.list_(pa.int32())),
-        "block_min_dl": pa.array(out_bmd, pa.list_(pa.int32())),
-        "block_doc_boff": pa.array(out_doc_boff, pa.list_(pa.int64())),
-        "block_tf_boff": pa.array(out_tf_boff, pa.list_(pa.int64())),
-        "block_dl_boff": pa.array(out_dl_boff, pa.list_(pa.int64())),
+        "term": uniq_terms.take(pa.array(codes[starts])),
+        "df": pa.array(np.diff(bounds), pa.int64()),
+        "doc_ids": binary_runs(doc_buf, doc_o[bounds]),
+        "tfs": binary_runs(tf_buf, tf_o[bounds]),
+        "dls": binary_runs(dl_buf, dl_o[bounds]),
+        "block_last_doc": _lists(doc_ids[blk_end - 1], nblk, pa.int64()),
+        "block_max_tf": _lists(np.maximum.reduceat(tfs, blk), nblk,
+                               pa.int32()),
+        "block_min_dl": _lists(np.minimum.reduceat(dls, blk), nblk,
+                               pa.int32()),
+        "block_doc_boff": boff(doc_o),
+        "block_tf_boff": boff(tf_o),
+        "block_dl_boff": boff(dl_o),
     }
     if pos_cells is not None:
-        cols["poss"] = pa.array(out_poss, pa.binary())
-        cols["block_pos_boff"] = pa.array(out_pos_boff, pa.list_(pa.int64()))
-    seg = pa.table(cols)
-    stats = {
-        "n_terms": len(out_terms),
-        "n_postings": int(n),
-        "sum_tf": int(tfs.sum()),
-    }
-    return seg, stats
+        cells = pos_cells.take(pa.array(order))
+        pos_o = np.frombuffer(cells.buffers()[1], np.int32)[
+            cells.offset: cells.offset + n + 1]
+        cols["poss"] = binary_runs(cells.buffers()[2], pos_o[bounds])
+        cols["block_pos_boff"] = boff(pos_o.astype(np.int64))
+    stats = {"n_terms": len(starts), "n_postings": int(n),
+             "sum_tf": int(tfs.sum())}
+    return pa.table(cols), stats
 
 
 def encode_partition_table(group: pa.Table, block_size: int = schemas.BLOCK_SIZE) -> tuple[pa.Table, dict]:
     """Raw posting rows (term, doc_id, tf, dl[, pos][, part]) -> segment
     (build, merge_indexes); delegates to the array core."""
-    has_pos = "pos" in group.column_names
-    if group.num_rows == 0:
-        return _empty_segment(positions=has_pos)
-    terms = group.column("term").to_numpy(zero_copy_only=False)
-    uniq, codes = np.unique(terms, return_inverse=True)
+    uniq, codes = term_codes(group.column("term"))
+
+    def ints(c: str) -> np.ndarray:
+        return group.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
+
     return encode_partition_arrays(
-        uniq,
-        codes.astype(np.int64),
-        group.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64),
-        group.column("tf").to_numpy(zero_copy_only=False).astype(np.int64),
-        group.column("dl").to_numpy(zero_copy_only=False).astype(np.int64),
-        block_size,
-        pos_cells=(
-            group.column("pos").to_numpy(zero_copy_only=False) if has_pos else None
-        ),
-    )
+        uniq, codes, ints("doc_id"), ints("tf"), ints("dl"), block_size,
+        pos_cells=(group.column("pos").combine_chunks()
+                   if "pos" in group.column_names else None))
 
 
 class SegmentWriter:

@@ -10,13 +10,17 @@ work is vectorized Arrow/numpy.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..functions.hashing import doc_ids_for_batch, partition_column
+from ..functions.codec import (binary_runs, delta_encode_segments,
+                               varbyte_encode_all)
+from ..functions.hashing import (doc_ids_for_batch, partition_column,
+                                sha256_hex_column)
 from ..functions.tokenize import get_tokenizer
 from ..state import manifest as mf
 
@@ -38,18 +42,13 @@ def doc_meta(batch: pa.Table, *, id_col: str | None = None,
         doc_len = PostingsExtractor(
             1, id_col=id_col, emit_part=False).tokenize(batch)[3]
     content = batch.column("content")
-    sha = pa.array(
-        [hashlib.sha256(v.encode()).hexdigest() if v is not None else None
-         for v in content.to_pylist()],
-        pa.string(),
-    )
     return pa.table({
         "doc_id": pa.array(doc_ids, pa.int64()),
         "repo": batch.column("repo"),
         "path": batch.column("path"),
         "commit": batch.column("commit"),
         "lang": batch.column("lang"),
-        "content_sha256": sha,
+        "content_sha256": sha256_hex_column(content),
         "n_chars": pc.utf8_length(content).cast(pa.int64()),
         "doc_len": pa.array(doc_len, pa.int64()),
     })
@@ -60,6 +59,7 @@ def doc_meta(batch: pa.Table, *, id_col: str | None = None,
 # startup latency. Keyed by config; hot set resolved from the object store
 # once per process.
 _EXTRACTOR_CACHE: dict = {}
+LANG_STATS_KEY = b"lang_stats"  # docs footer key, see write_docs
 
 
 def extract_postings(batch: pa.Table, *, num_partitions: int, hot_ref=None,
@@ -68,12 +68,8 @@ def extract_postings(batch: pa.Table, *, num_partitions: int, hot_ref=None,
                      lang_override: str | None = None,
                      docs_dir: str | None = None) -> pa.Table:
     """Corpus batch -> postings (``PostingsExtractor``). With ``docs_dir``
-    the same pass also writes the batch's DOCS rows, carrying the
-    extractor's doc ids and lengths, to
-    ``docs_dir/<sha16 of the batch's doc ids>.parquet``. Doc ids are
-    unique per corpus, so a name repeats only when a retried task
-    rewrites the same batch, and the write is atomic: the rewrite is
-    idempotent."""
+    the same pass also writes the batch's DOCS rows (``write_docs``),
+    carrying the extractor's doc ids and lengths."""
     key = (
         num_partitions,
         hot_ref.hex() if hot_ref is not None else None,
@@ -95,13 +91,33 @@ def extract_postings(batch: pa.Table, *, num_partitions: int, hot_ref=None,
         _EXTRACTOR_CACHE[key] = ex
     postings, doc_ids, dl = ex.extract(batch)
     if docs_dir is not None and batch.num_rows:
-        name = hashlib.sha256(doc_ids.tobytes()).hexdigest()[:16]
-        mf.atomic_write_parquet(
-            os.path.join(docs_dir, f"{name}.parquet"),
-            doc_meta(batch, doc_ids=doc_ids, doc_len=dl),
-            compression="zstd",
-        )
+        write_docs(docs_dir, doc_meta(batch, doc_ids=doc_ids, doc_len=dl))
     return postings
+
+
+def write_docs(docs_dir: str, docs: pa.Table) -> None:
+    """Write a DOCS table atomically to ``docs_dir/<sha16 of its doc
+    ids>.parquet`` (the build's extract map, merge and prune alike).
+    Doc ids are unique per corpus, so a name repeats only when a retried
+    task rewrites the same rows: the rewrite is idempotent. The footer
+    carries the file's per-lang ``{lang: [n_docs, total_len]}`` under
+    ``LANG_STATS_KEY`` (none without a ``doc_len`` column)."""
+    if not docs.num_rows:
+        return
+    # rows read back from a docs file carry that file's stamp: drop it
+    meta = {k: v for k, v in (docs.schema.metadata or {}).items()
+            if k != LANG_STATS_KEY}
+    if {"lang", "doc_len"} <= set(docs.column_names):
+        g = docs.group_by("lang", use_threads=False).aggregate(
+            [("doc_len", "count"), ("doc_len", "sum")]).to_pydict()
+        meta[LANG_STATS_KEY] = json.dumps(sort_keys=True, obj={
+            str(lang): [c, s or 0] for lang, c, s in zip(
+                g["lang"], g["doc_len_count"], g["doc_len_sum"])})
+    ids = np.asarray(docs.column("doc_id"), dtype=np.int64)
+    name = hashlib.sha256(ids.tobytes()).hexdigest()[:16]
+    mf.atomic_write_parquet(os.path.join(docs_dir, f"{name}.parquet"),
+                            docs.replace_schema_metadata(meta),
+                            compression="zstd")
 
 
 class PostingsExtractor:
@@ -196,25 +212,18 @@ class PostingsExtractor:
             empty["part"] = pa.array([], pa.int32())
             return pa.table(empty), doc_ids, dl_batch
 
-        pos_cells: list[bytes] | None = None
+        pos_cells: pa.Array | None = None
+        terms_flat = pa.concat_arrays(
+            [a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
+             for a in term_arrs])
+        rows_flat = np.concatenate(row_arrs)
         if self.positions:
             rows, terms, tf, pos_cells = self._group_with_positions(
-                term_arrs, row_arrs, pos_arrs
-            )
+                terms_flat, rows_flat, np.concatenate(pos_arrs))
         else:
-            tokens = pa.table(
-                {
-                    "term": pa.concat_arrays(
-                        [a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
-                         for a in term_arrs]
-                    ),
-                    "row": pa.array(np.concatenate(row_arrs), pa.int64()),
-                }
-            )
             # vectorized tf per (row, term): Arrow hash-groupby
-            grouped = tokens.group_by(["row", "term"], use_threads=False).aggregate(
-                [("term", "count")]
-            )
+            grouped = pa.table({"term": terms_flat, "row": rows_flat}).group_by(
+                ["row", "term"], use_threads=False).aggregate([("term", "count")])
             rows = grouped.column("row").to_numpy(zero_copy_only=False)
             terms = grouped.column("term")
             tf = grouped.column("term_count").to_numpy(zero_copy_only=False).astype(np.int32)
@@ -229,31 +238,20 @@ class PostingsExtractor:
             "dl": pa.array(out_dl, pa.int32()),
         }
         if pos_cells is not None:
-            cols["pos"] = pa.array(pos_cells, pa.binary())
+            cols["pos"] = pos_cells
         if not self.emit_part:
             return pa.table(cols), doc_ids, dl_batch
 
         cols["part"] = pa.array(partition_column(
-            terms.to_numpy(zero_copy_only=False), out_doc_ids,
+            terms, out_doc_ids,
             self.num_partitions, self.hot_terms, self.salt_bits), pa.int32())
         return pa.table(cols), doc_ids, dl_batch
 
-    def _group_with_positions(self, term_arrs, row_arrs, pos_arrs):
+    def _group_with_positions(self, terms_flat, rows_flat, pos_flat):
         """(row, term) aggregation that also emits each posting's encoded
         position list. numpy lexsort replaces the Arrow hash-groupby so the
         per-group positions stay doc-ordered; the cell bytes are produced
         by ONE vectorized codec pass over all groups."""
-        from ..functions.codec import (
-            delta_encode_segments,
-            varbyte_encode_segments,
-        )
-
-        terms_flat = pa.concat_arrays(
-            [a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
-             for a in term_arrs]
-        )
-        rows_flat = np.concatenate(row_arrs)
-        pos_flat = np.concatenate(pos_arrs)
         dict_arr = terms_flat.dictionary_encode()
         codes = dict_arr.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((pos_flat, codes, rows_flat))
@@ -265,8 +263,7 @@ class PostingsExtractor:
         starts = np.concatenate(([0], np.flatnonzero(change) + 1))
         ends = np.concatenate((starts[1:], [n]))
         tf = (ends - starts).astype(np.int32)
-        cells = varbyte_encode_segments(
-            delta_encode_segments(pos_s, starts), starts
-        )
+        buf, offs = varbyte_encode_all(delta_encode_segments(pos_s, starts))
+        cells = binary_runs(buf, offs[np.append(starts, n)])
         terms_g = dict_arr.dictionary.take(pa.array(codes_s[starts]))
         return rows_s[starts], terms_g, tf, cells

@@ -403,6 +403,41 @@ def test_vector_server_compact(vector_server):
     assert srv.search(vecs[0], k=1)[0]["vec_id"] == 0
 
 
+def test_vector_server_buffer_matrix_cache(vector_server):
+    """search reuses the buffer's normalized matrix until an insert, a
+    delete or a compact changes the buffer, and its results equal those
+    of a fresh server that replays the same journal (nothing cached)."""
+    from donkey_ray.serve import VectorServer
+
+    srv, vecs, tmp_path = vector_server
+    qs = _mk_vecs(4, seed=11)
+
+    def same_as_fresh():
+        fresh = VectorServer(srv.index_dir)
+        for nprobe in (None, 2):
+            assert srv.search(qs, k=8, nprobe=nprobe) == \
+                fresh.search(qs, k=8, nprobe=nprobe)
+
+    srv.insert([{"vec_id": 100 + i, "embedding": list(v)}
+                for i, v in enumerate(_mk_vecs(4, seed=12))])
+    same_as_fresh()
+    cached = srv._buf_matrix
+    srv.search(qs, k=8)
+    assert srv._buf_matrix is cached
+    srv.insert([{"vec_id": 200, "embedding": list(qs[0])}])
+    same_as_fresh()
+    assert srv._buf_matrix is not cached
+    assert 200 in srv._buf_matrix[1]
+    srv.delete([101, 3])
+    same_as_fresh()
+    assert 101 not in srv._buf_matrix[1]
+    srv.compact(str(tmp_path / "vidx_cached"))
+    same_as_fresh()
+    srv.insert([{"vec_id": 300, "embedding": list(qs[1])}])
+    same_as_fresh()
+    assert srv._buf_matrix[1].tolist() == [300]
+
+
 def test_vector_server_compact_guards(vector_server):
     """REGRESSION (review findings): compact into an already-complete
     dir must refuse (a silent no-op build would clear state the index
