@@ -28,28 +28,7 @@ _M7F = np.uint64(0x7F)
 
 def varbyte_encode(values) -> bytes:
     """Encode an array of uint64 values. Returns b'' for empty input."""
-    v = np.ascontiguousarray(values, dtype=np.uint64)
-    if v.size == 0:
-        return b""
-    # bytes-per-value: number of 7-bit groups (>=1)
-    nb = np.ones(v.size, dtype=np.int64)
-    rest = v >> _U7
-    while rest.any():
-        nb += (rest > 0)
-        rest = rest >> _U7
-    offs = np.zeros(v.size + 1, dtype=np.int64)
-    np.cumsum(nb, out=offs[1:])
-    out = np.zeros(offs[-1], dtype=np.uint8)
-    starts = offs[:-1]
-    for g in range(10):
-        mask = nb > g
-        if not mask.any():
-            break
-        pos = starts[mask] + g
-        byte = ((v[mask] >> np.uint64(7 * g)) & _M7F).astype(np.uint8)
-        cont = (nb[mask] - 1 > g).astype(np.uint8)
-        out[pos] = byte | (cont << 7)
-    return out.tobytes()
+    return varbyte_encode_all(values)[0]
 
 
 def varbyte_decode(buf: bytes) -> np.ndarray:
@@ -93,6 +72,7 @@ def varbyte_encode_all(values) -> tuple[bytes, np.ndarray]:
     v = np.ascontiguousarray(values, dtype=np.uint64)
     if v.size == 0:
         return b"", np.zeros(1, dtype=np.int64)
+    # bytes-per-value: number of 7-bit groups (>=1)
     nb = np.ones(v.size, dtype=np.int64)
     rest = v >> _U7
     while rest.any():

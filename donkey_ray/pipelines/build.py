@@ -39,7 +39,7 @@ import ray.data
 from .. import schemas
 from ..functions.hashing import (deterministic_sample_mask, doc_ids_for_batch,
                                 partition_column)
-from ..sources.corpus import read_corpus
+from ..sources.corpus import read_block_count, read_corpus
 from ..stages.encode import SegmentWriter
 from ..stages.extract import (LANG_STATS_KEY, PostingsExtractor,
                               extract_postings, write_docs)
@@ -119,9 +119,11 @@ def detect_hot_terms(
     Returns (hot_terms, n_sample_docs, n_sample_tokens) — the token
     total feeds auto partition sizing (``num_partitions=None``).
 
-    Fully data-deterministic (hash-of-doc_id sampling), so every cluster
-    size / retry sees the same hot set — a prerequisite for deterministic
-    partition routing."""
+    The sample is hash-of-doc_id, but the hot set also depends on the
+    batching of ``ds``: each batch drops terms below its own cutoff
+    before the driver sums, so more batches find fewer hot terms (one
+    2000-doc corpus: 58 at 8 blocks, 62 at 1). Query results never
+    depend on it: runs of a term merge at query time."""
     extractor = PostingsExtractor(1, id_col=id_col, emit_part=False,
                                   lang_override=lang_override)
 
@@ -213,16 +215,14 @@ def build_index(
     re-runs the one extract pass, which rewrites every docs file while
     ``drop_done`` discards the postings of partitions already written.
 
-    Block sizing: per-task and per-shuffle-object overheads grow with block
-    COUNT, so blocks are kept at ~2x cluster CPUs (larger data -> bigger
-    blocks, not more of them) unless overridden."""
+    Block sizing: each block pays fixed task and exchange costs in both
+    Ray Data jobs, so a path corpus is read as ``read_block_count``
+    blocks (on-disk bytes / MIN_BLOCK_BYTES, clamped to [1, 2x CPUs])
+    unless ``override_num_blocks`` is given."""
     t_start = time.monotonic()
     if mf.is_complete(out_dir):
         return mf.load_meta(out_dir)
     if isinstance(corpus, str):
-        if override_num_blocks is None:
-            cpus = int(ray.cluster_resources().get("CPU", 4))
-            override_num_blocks = max(2 * cpus, 8)
         ds = read_corpus(corpus, override_num_blocks=override_num_blocks)
         if id_col is None and "doc_id" in ds.schema().names:
             id_col = "doc_id"
@@ -241,10 +241,9 @@ def build_index(
         """Dataset + row-mod for the hot-term sample pass. For a path
         corpus with many fragments, sample at the FILE level first
         (sorted list, every j-th file — deterministic for the same
-        input, so every cluster size/retry still sees one hot set) and
-        reduce the row mod to keep the overall ~1/sample_mod rate:
-        the detect pass then READS 1/j of the bytes instead of scanning
-        every file to discard 63/64 of its rows. The hot set is a
+        input) and reduce the row mod to keep the overall ~1/sample_mod
+        rate: the detect pass then READS 1/j of the bytes instead of
+        scanning every file to discard 63/64 of its rows. The hot set is a
         routing heuristic — correctness never depends on it — so the
         slight sample-composition change is free."""
         if not isinstance(corpus, str):
@@ -256,11 +255,9 @@ def build_index(
         subset = files[::file_mod]
         cols = ["lang", "content"]
         cols += ([id_col] if id_col else ["repo", "path", "commit"])
-        cpus = int(ray.cluster_resources().get("CPU", 4))
         sample_ds = ray.data.read_parquet(
             subset, columns=cols,
-            override_num_blocks=max(8, min(len(subset), cpus)),
-        )
+            override_num_blocks=read_block_count(subset))
         row_mod = max(1, sample_mod // file_mod)
         return sample_ds, row_mod, file_mod * row_mod
 
@@ -362,7 +359,8 @@ def copy_docs(src_dirs: list[str], out_dir: str, row_filter=None) -> bool:
         write_docs(docs_dir, row_filter(batch) if row_filter else batch)
         return pa.table({"rows": pa.array([batch.num_rows], pa.int64())})
 
-    ray.data.read_parquet(paths).map_batches(
+    ray.data.read_parquet(
+        paths, override_num_blocks=read_block_count(paths)).map_batches(
         write_docs_rows, batch_format="pyarrow",
         zero_copy_batch=True).take_all()
     return True

@@ -29,6 +29,7 @@ import ray
 import ray.data
 
 from ..functions.codec import binary_runs, varbyte_decode
+from ..sources.corpus import read_block_count
 from ..stages.encode import block_starts
 from ..state import manifest as mf
 from .. import schemas
@@ -45,7 +46,9 @@ def segments_as_postings(index_dir: str) -> ray.data.Dataset:
     meta = mf.load_meta(index_dir)
     positional = bool(meta.get("positions"))
     block_size = int(meta.get("block_size", schemas.BLOCK_SIZE))
-    ds = ray.data.read_parquet(mf.built_segment_paths(index_dir, meta))
+    paths = mf.built_segment_paths(index_dir, meta)
+    ds = ray.data.read_parquet(paths,
+                               override_num_blocks=read_block_count(paths))
 
     def decode(batch: pa.Table) -> pa.Table:
         """Vectorized batch decode: ONE varbyte pass per stream for every

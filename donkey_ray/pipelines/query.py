@@ -506,12 +506,11 @@ def collapse_topk(
         f = part.column(field).to_numpy(zero_copy_only=False).astype(str)
         d = part.column("doc_id").to_numpy(zero_copy_only=False)
         s = part.column("score").to_numpy(zero_copy_only=False)
-        order = np.lexsort((d, -s, f, q))
-        q, f = q[order], f[order]
-        first = np.ones(len(q), dtype=bool)
-        first[1:] = (q[1:] != q[:-1]) | (f[1:] != f[:-1])
-        keep = order[first]
-        return part.take(pa.array(keep))
+        # one int code per (query, field), in (query, field) order
+        _, qc = np.unique(q, return_inverse=True)
+        fv, fc = np.unique(f, return_inverse=True)
+        return part.take(pa.array(
+            scoring.grouped_topk(qc * len(fv) + fc, d, s, 1)))
 
     group_argmax.__name__ = "collapse_argmax"
     best = dataset_to_table(

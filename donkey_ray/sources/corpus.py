@@ -8,11 +8,37 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.dataset as pads
+import ray
 import ray.data
 
 from .. import schemas
 
 CORPUS_COLUMNS = [f.name for f in schemas.CORPUS]
+
+# Smallest block a build-lifecycle read asks for. Each block costs a build
+# ~45 ms of fixed task and exchange overhead (one CPU, 2000-doc corpus:
+# 1 block 0.82 s, 8 blocks 1.14 s), and the build computes ~220 ms per
+# on-disk MB, so a 4 MiB block spends under 5% of its wall on that
+# overhead (derivation in SCALE.md "Read").
+MIN_BLOCK_BYTES = 4 << 20
+
+
+def blocks_for_bytes(input_bytes: int, cpus: int) -> int:
+    """clamp(ceil(input_bytes / MIN_BLOCK_BYTES), 1, 2 x cpus)."""
+    return max(1, min(2 * cpus, -(-input_bytes // MIN_BLOCK_BYTES)))
+
+
+def read_block_count(paths: str | list[str]) -> int:
+    """Block count for a build-lifecycle read of ``paths`` (a file, a
+    directory or a file list): ``blocks_for_bytes`` of their on-disk
+    bytes on this cluster's CPUs. The build's corpus and hot-sample
+    reads, and the docs and segment reads of merge, compaction, prune
+    and reshard, all size their blocks by it."""
+    dset = pads.dataset(paths)
+    input_bytes = sum(i.size for i in
+                      dset.filesystem.get_file_info(dset.files))
+    cpus = int(ray.cluster_resources().get("CPU", 4))
+    return blocks_for_bytes(input_bytes, cpus)
 
 
 def read_corpus(
@@ -24,7 +50,8 @@ def read_corpus(
     """Read a Parquet corpus (repo, path, commit, lang, content).
 
     Column pruning happens at the read; an optional lang filter is pushed
-    into the scan (SURVEY.md B9/B10).
+    into the scan (SURVEY.md B9/B10). The block count is
+    ``override_num_blocks``, else ``read_block_count`` of the files.
     """
     frag = pads.dataset(path)
     schemas.validate(frag.schema, schemas.CORPUS, f"corpus at {path}")
@@ -34,9 +61,11 @@ def read_corpus(
         from pyarrow.dataset import field
 
         kwargs["filter"] = field("lang").isin(langs)
-    if override_num_blocks is not None:
-        kwargs["override_num_blocks"] = override_num_blocks
-    return ray.data.read_parquet(path, columns=CORPUS_COLUMNS + extra, **kwargs)
+    if override_num_blocks is None:
+        override_num_blocks = read_block_count(frag.files)
+    return ray.data.read_parquet(path, columns=CORPUS_COLUMNS + extra,
+                                 override_num_blocks=override_num_blocks,
+                                 **kwargs)
 
 
 def documents_as_corpus(
